@@ -40,12 +40,19 @@ let setup_logs verbosity =
        | 1 -> Logs.Info
        | _ -> Logs.Debug))
 
+(* The input circuit, or the message to exit 1 with: a parse error, an
+   unknown benchmark or an unreadable file. *)
 let load spec =
-  match String.length spec >= 6 && String.sub spec 0 6 = "bench:" with
-  | true ->
-      let name = String.sub spec 6 (String.length spec - 6) in
-      Epoc_benchmarks.Benchmarks.find name
-  | false -> Epoc_qasm.Qasm.of_file spec
+  match
+    match String.length spec >= 6 && String.sub spec 0 6 = "bench:" with
+    | true ->
+        let name = String.sub spec 6 (String.length spec - 6) in
+        Epoc_benchmarks.Benchmarks.find name
+    | false -> Epoc_qasm.Qasm.of_file spec
+  with
+  | circuit -> Ok circuit
+  | exception Epoc_qasm.Qasm.Parse_error m -> Error ("parse error: " ^ m)
+  | exception (Invalid_argument m | Sys_error m) -> Error ("error: " ^ m)
 
 let circuit_arg =
   let doc = "Input circuit: a .qasm file or bench:<name> for a builtin benchmark." in
@@ -310,13 +317,10 @@ let compile_cmd =
       retries strict fault verbosity schedule trace trace_json gc chrome =
     setup_logs verbosity;
     match load spec with
-    | exception Epoc_qasm.Qasm.Parse_error m ->
-        Printf.eprintf "parse error: %s\n" m;
+    | Error m ->
+        prerr_endline m;
         1
-    | exception Invalid_argument m ->
-        Printf.eprintf "error: %s\n" m;
-        1
-    | circuit ->
+    | Ok circuit ->
         let config =
           config_of ~grape ~no_zx ~no_synth ~no_regroup ~width ~cache_dir
             ~synth_cache_dir ~similarity_order ~deadline ~block_deadline
@@ -463,9 +467,16 @@ let report_text (r : Epoc.Pipeline.result) metrics ~process =
   Option.iter
     (fun v -> Printf.printf "  GRAPE throughput: %.0f iters/s (batched)\n" v)
     (M.gauge_value process "grape.iters_per_s");
+  (* searched = blocks that ran QSearch; certified = blocks whose search
+     the CNOT-count oracle skipped (the direct form is optimal) *)
   Printf.printf
-    "  QSearch: %d blocks, %d synthesized, %d prunes, open-set high water %s\n"
+    "  QSearch: %d blocks, %d searched, %d certified, %d synthesized, %d \
+     prunes, open-set high water %s\n"
     (M.counter_value metrics "synth.blocks")
+    (match M.hist_value metrics "qsearch.expansions" with
+    | Some h -> h.M.count
+    | None -> 0)
+    (M.counter_value metrics "synth.certified")
     (M.counter_value metrics "synth.synthesized")
     (M.counter_value metrics "qsearch.prunes")
     (match M.gauge_value metrics "qsearch.open_high_water" with
@@ -500,13 +511,10 @@ let report_cmd =
       retries strict fault verbosity json prometheus chrome =
     setup_logs verbosity;
     match load spec with
-    | exception Epoc_qasm.Qasm.Parse_error m ->
-        Printf.eprintf "parse error: %s\n" m;
+    | Error m ->
+        prerr_endline m;
         1
-    | exception Invalid_argument m ->
-        Printf.eprintf "error: %s\n" m;
-        1
-    | circuit ->
+    | Ok circuit ->
         let config =
           config_of ~grape ~no_zx ~no_synth ~no_regroup ~width ~cache_dir
             ~synth_cache_dir ~similarity_order ~deadline ~block_deadline
@@ -910,10 +918,10 @@ let zx_cmd =
   let run spec verbosity =
     setup_logs verbosity;
     match load spec with
-    | exception Epoc_qasm.Qasm.Parse_error m ->
-        Printf.eprintf "parse error: %s\n" m;
+    | Error m ->
+        prerr_endline m;
         1
-    | circuit ->
+    | Ok circuit ->
         let r = Epoc_zx.Zx.optimize ~objective:Epoc_zx.Zx.Depth circuit in
         Printf.printf "depth  : %d -> %d\n" r.Epoc_zx.Zx.input_depth
           r.Epoc_zx.Zx.output_depth;

@@ -266,13 +266,20 @@ let record t (u : Mat.t) (r : Synthesis.block_result) =
         prunes = r.Synthesis.prunes;
       }
 
-let to_block_result (e : entry) : Synthesis.block_result =
+let to_block_result ~block (e : entry) : Synthesis.block_result =
   {
-    Synthesis.circuit = e.circuit;
+    Synthesis.circuit =
+      (* a fallback's circuit is the direct form of whichever block was
+         stored, which may differ from [block] by a global phase and in
+         its gate list; re-deriving keeps the replay transparent *)
+      (match e.source with
+      | Synthesis.Synthesized -> e.circuit
+      | Synthesis.Fallback -> Synthesis.vug_form block);
     source = e.source;
     distance = e.distance;
     expansions = 0;
     prunes = 0;
     open_max = 0;
     failure = None;
+    certified = false;
   }

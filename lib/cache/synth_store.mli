@@ -53,9 +53,14 @@ val find : t -> Mat.t -> entry option
     touches the disk until {!flush}. *)
 val record : t -> Mat.t -> Synthesis.block_result -> unit
 
-(** Replay a stored entry as a block result: the stored circuit and
-    source, zeroed search counters (no QSearch ran), no failure. *)
-val to_block_result : entry -> Synthesis.block_result
+(** Replay a stored entry for [block] (the local block circuit whose
+    unitary found it) as a block result: the stored source, zeroed
+    search counters (no QSearch ran), no failure.  A [Synthesized]
+    entry replays its stored circuit; a [Fallback] entry re-derives
+    {!Synthesis.vug_form} of [block], because lookups match up to
+    global phase and the stored direct form may be another block's
+    gate list. *)
+val to_block_result : block:Circuit.t -> entry -> Synthesis.block_result
 
 (** Persist pending records under the in-process and on-disk locks,
     merging with concurrent writers' appends. *)

@@ -706,7 +706,7 @@ let partition =
    When a synthesis store is attached, each block's unitary is looked up
    *sequentially, in block order* before the fan-out (so store probes
    and the synth.cache.* counters are independent of the domain count);
-   a verified hit replays the stored circuit with zeroed search counters
+   a verified hit replays the stored result with zeroed search counters
    — no QSearch runs for that block — and misses synthesize in parallel
    exactly as without a store.  Fresh results are not written here:
    candidate compilation never mutates shared state; they ride the IR
@@ -735,7 +735,9 @@ let synthesis =
                 match Synth_store.find store u with
                 | Some e ->
                     Metrics.incr m "synth.cache.hits";
-                    ((i, b), Some u, Some (Synth_store.to_block_result e))
+                    ( (i, b),
+                      Some u,
+                      Some (Synth_store.to_block_result ~block:local e) )
                 | None ->
                     Metrics.incr m "synth.cache.misses";
                     ((i, b), Some u, None))
@@ -768,6 +770,7 @@ let synthesis =
                       prunes = 0;
                       open_max = 0;
                       failure = None;
+                      certified = false;
                     }
             in
             (b, u, Option.is_some cached, r))
@@ -801,6 +804,7 @@ let synthesis =
           Metrics.incr m "synth.blocks";
           if r.Synthesis.source = Synthesis.Synthesized then
             Metrics.incr m "synth.synthesized";
+          if r.Synthesis.certified then Metrics.incr m "synth.certified";
           if r.Synthesis.open_max > 0 then begin
             (* a search actually ran on this block *)
             Metrics.observe m "qsearch.expansions"

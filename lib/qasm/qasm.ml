@@ -5,7 +5,9 @@
    over +,-,*,/,unary minus, pi and the qelib1 math functions, register
    broadcast, [barrier] (ignored) and [measure] (ignored: EPOC compiles the
    unitary part of the program).  [if] statements and [reset] are rejected
-   with a clear error. *)
+   with a clear error, as are gate parameters that evaluate to an infinite
+   or NaN angle ([rz(1/0)]).  Every [Parse_error] message starts with the
+   line it was found on ("line 3: ..."). *)
 
 open Epoc_circuit
 
@@ -24,13 +26,19 @@ type token =
   | Equal_equal
   | Eof
 
-let lex (src : string) : token list =
+(* Tokens paired with the line each starts on (1-based). *)
+let lex (src : string) : (token * int) list =
   let n = String.length src in
   let tokens = ref [] in
-  let emit t = tokens := t :: !tokens in
+  let line = ref 1 in
+  let emit t = tokens := (t, !line) :: !tokens in
+  let fail fmt = Fmt.kstr (fun m -> fail "line %d: %s" !line m) fmt in
   let pos = ref 0 in
   let peek () = if !pos < n then Some src.[!pos] else None in
-  let advance () = incr pos in
+  let advance () =
+    if src.[!pos] = '\n' then incr line;
+    incr pos
+  in
   let is_id_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_' in
   let is_id_char c = is_id_start c || (c >= '0' && c <= '9') in
   let is_digit c = c >= '0' && c <= '9' in
@@ -51,7 +59,7 @@ let lex (src : string) : token list =
           do
             advance ()
           done;
-          pos := !pos + 2
+          pos := min n (!pos + 2)
         end
         else if is_id_start c then begin
           let start = !pos in
@@ -106,17 +114,20 @@ let lex (src : string) : token list =
               emit (Sym c)
           | _ -> fail "unexpected character %C" c
   done;
-  List.rev (Eof :: !tokens)
+  emit Eof;
+  List.rev !tokens
 
 (* --- parser state ------------------------------------------------------ *)
 
-type stream = { mutable toks : token list }
+type stream = { mutable toks : (token * int) list }
 
-let peek s = match s.toks with [] -> Eof | t :: _ -> t
+let stream_of toks = { toks = List.map (fun t -> (t, 0)) (toks @ [ Eof ]) }
+let peek s = match s.toks with [] -> Eof | (t, _) :: _ -> t
+let line s = match s.toks with [] -> 0 | (_, l) :: _ -> l
 let next s =
   match s.toks with
   | [] -> Eof
-  | t :: rest ->
+  | (t, _) :: rest ->
       s.toks <- rest;
       t
 
@@ -319,7 +330,7 @@ let slice_param_tokens s =
   List.rev !acc
 
 let eval_tokens toks env =
-  let s = { toks = toks @ [ Eof ] } in
+  let s = stream_of toks in
   let v = parse_expr s env in
   (match peek s with
   | Eof -> ()
@@ -346,6 +357,15 @@ let parse_param_list s =
 let rec expand ctx name (params : float list) (qubits : int list) =
   match builtin name params with
   | Some g ->
+      List.iteri
+        (fun i p ->
+          if not (Float.is_finite p) then
+            fail "gate %s: parameter %d evaluates to %s, not a finite angle"
+              name (i + 1)
+              (if Float.is_nan p then "NaN"
+               else if p > 0.0 then "+infinity"
+               else "-infinity"))
+        params;
       if Gate.arity g <> List.length qubits then
         fail "gate %s applied to %d qubits, expects %d" name
           (List.length qubits) (Gate.arity g);
@@ -441,21 +461,22 @@ let parse_gate_body s =
 let parse_program src =
   let s = { toks = lex src } in
   let ctx = { stream = s; qregs = []; n_qubits = 0; defs = []; rev_ops = [] } in
-  let rec stmt () =
+  (* one top-level statement; false at end of input *)
+  let stmt () =
     match peek s with
-    | Eof -> ()
+    | Eof -> false
     | Id "OPENQASM" ->
         ignore (next s);
         (match next s with Number _ -> () | t -> fail "expected version, got %s" (token_to_string t));
         expect_sym s ';';
-        stmt ()
+        true
     | Id "include" ->
         ignore (next s);
         (match next s with
         | String_lit _ -> ()
         | t -> fail "expected include path, got %s" (token_to_string t));
         expect_sym s ';';
-        stmt ()
+        true
     | Id "qreg" ->
         ignore (next s);
         let name = expect_id s in
@@ -469,7 +490,7 @@ let parse_program src =
         expect_sym s ';';
         ctx.qregs <- ctx.qregs @ [ (name, (ctx.n_qubits, size)) ];
         ctx.n_qubits <- ctx.n_qubits + size;
-        stmt ()
+        true
     | Id "creg" ->
         ignore (next s);
         let _ = expect_id s in
@@ -477,7 +498,7 @@ let parse_program src =
         (match next s with Number _ -> () | t -> fail "expected size, got %s" (token_to_string t));
         expect_sym s ']';
         expect_sym s ';';
-        stmt ()
+        true
     | Id "gate" ->
         ignore (next s);
         let name = expect_id s in
@@ -504,7 +525,7 @@ let parse_program src =
         let qs = qubits [] in
         let body = parse_gate_body s in
         ctx.defs <- (name, { d_params = params; d_qubits = qs; d_body = body }) :: ctx.defs;
-        stmt ()
+        true
     | Id "measure" ->
         ignore (next s);
         let _ = parse_qarg s in
@@ -513,7 +534,7 @@ let parse_program src =
         | t -> fail "expected '->', got %s" (token_to_string t));
         let _ = parse_qarg s in
         expect_sym s ';';
-        stmt ()
+        true
     | Id "barrier" ->
         ignore (next s);
         let rec args () =
@@ -522,7 +543,7 @@ let parse_program src =
         in
         args ();
         expect_sym s ';';
-        stmt ()
+        true
     | Id "if" -> fail "classical control ('if') is not supported"
     | Id "reset" -> fail "'reset' is not supported"
     | Id "opaque" ->
@@ -531,7 +552,7 @@ let parse_program src =
           match next s with Sym ';' -> () | Eof -> fail "unterminated opaque" | _ -> skip ()
         in
         skip ();
-        stmt ()
+        true
     | Id name ->
         ignore (next s);
         let param_toks = parse_param_list s in
@@ -543,10 +564,17 @@ let parse_program src =
         let args = qargs [] in
         expect_sym s ';';
         apply_gate_stmt ctx name params args;
-        stmt ()
+        true
     | t -> fail "unexpected %s at top level" (token_to_string t)
   in
-  stmt ();
+  let rec statements () =
+    let at = line s in
+    match stmt () with
+    | true -> statements ()
+    | false -> ()
+    | exception Parse_error m -> fail "line %d: %s" at m
+  in
+  statements ();
   ignore ctx.stream;
   if ctx.n_qubits = 0 then fail "program declares no qubits";
   Circuit.of_ops ctx.n_qubits (List.rev ctx.rev_ops)

@@ -358,6 +358,7 @@ let test_synth_roundtrip () =
       prunes = 4;
       open_max = 9;
       failure = None;
+      certified = false;
     }
   in
   let s = Synth_store.open_dir dir in
@@ -376,7 +377,7 @@ let test_synth_roundtrip () =
         e.Synth_store.distance;
       Alcotest.(check int) "cold expansions kept as metadata" 17
         e.Synth_store.expansions;
-      let br = Synth_store.to_block_result e in
+      let br = Synth_store.to_block_result ~block:vug_circuit_2q e in
       Alcotest.(check bool) "replay is a success" true
         (br.Synthesis.failure = None);
       (* replayed results must not re-report search telemetry: the warm
@@ -407,6 +408,7 @@ let test_synth_corrupt_trailing () =
       prunes = 0;
       open_max = 0;
       failure = None;
+      certified = false;
     };
   Synth_store.flush s;
   let oc = open_out_gen [ Open_append ] 0o644 (synth_records_path dir) in
@@ -424,12 +426,14 @@ let test_synth_corrupt_trailing () =
    schedule byte-for-byte. *)
 let test_pipeline_warm_synthesis () =
   let dir = tmp_dir "synth-pipeline" in
-  let circuit = Epoc_benchmarks.Benchmarks.find "simon" in
+  (* iswap: the builtin whose cold run still searches (the CNOT-count
+     oracle certifies every block of simon, which never searches) *)
+  let circuit = Epoc_benchmarks.Benchmarks.find "iswap" in
   let cfg = { Config.default with Config.synth_cache_dir = Some dir } in
   let run () =
     let metrics = M.create () in
     let engine = Engine.create ~config:cfg () in
-    let session = Engine.session ~config:cfg ~metrics ~name:"simon" engine in
+    let session = Engine.session ~config:cfg ~metrics ~name:"iswap" engine in
     (Pipeline.compile session circuit, metrics)
   in
   let cold, cold_m = run () in
@@ -452,6 +456,54 @@ let test_pipeline_warm_synthesis () =
     (cold.Pipeline.latency = warm.Pipeline.latency);
   Alcotest.(check bool) "esp identical" true
     (cold.Pipeline.esp = warm.Pipeline.esp);
+  rm_rf dir
+
+(* Synthesis-store lookups match unitaries up to global phase, so a hit
+   can come from another block with a different gate list.  A replayed
+   fallback re-derives the direct form of the block at hand: the warm
+   compile of [b] equals its cold compile even when its blocks hit
+   entries that [a] stored.  [b] is [a] with disjoint gates swapped and
+   every rz written as p (equal up to phase). *)
+let test_fallback_replay_transparent () =
+  let header = "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[6];\n" in
+  let a =
+    Epoc_qasm.Qasm.of_string
+      (header
+     ^ "cx q[2],q[4]; h q[4]; cx q[4],q[2]; cx q[0],q[2]; h q[5]; cx q[0],q[4];\n\
+        rz(2.244) q[4]; cx q[3],q[2]; rz(0.307) q[0]; rz(0.876) q[1]; h q[0];\n\
+        rz(2.017) q[0]; cx q[5],q[0]; h q[0]; h q[0]; cx q[2],q[0]; h q[4];\n\
+        rz(0.6) q[3];\n")
+  in
+  let b =
+    Epoc_qasm.Qasm.of_string
+      (header
+     ^ "cx q[2],q[4]; h q[4]; cx q[4],q[2]; h q[5]; cx q[0],q[2]; cx q[0],q[4];\n\
+        p(0.307) q[0]; cx q[3],q[2]; p(2.244) q[4]; h q[0]; p(0.876) q[1];\n\
+        p(2.017) q[0]; cx q[5],q[0]; h q[0]; h q[0]; cx q[2],q[0]; h q[4];\n\
+        p(0.6) q[3];\n")
+  in
+  let dir = tmp_dir "synth-transparent" in
+  let compile cfg circuit =
+    let metrics = M.create () in
+    let r =
+      Pipeline.compile
+        (Engine.session ~config:cfg ~metrics ~name:"b" (Engine.create ~config:cfg ()))
+        circuit
+    in
+    (r, metrics)
+  in
+  let cached = { Config.default with Config.synth_cache_dir = Some dir } in
+  ignore (compile cached a);
+  let warm, warm_m = compile cached b in
+  let cold, _ = compile Config.default b in
+  Alcotest.(check bool) "warm run replays a's entries" true
+    (M.counter_value warm_m "synth.cache.hits" > 0);
+  Alcotest.(check bool) "schedule equals the cold one" true
+    (warm.Pipeline.schedule = cold.Pipeline.schedule);
+  Alcotest.(check (float 0.0)) "latency equals the cold one" cold.Pipeline.latency
+    warm.Pipeline.latency;
+  Alcotest.(check (float 0.0)) "esp equals the cold one" cold.Pipeline.esp
+    warm.Pipeline.esp;
   rm_rf dir
 
 (* The warm synthesis path obeys the determinism contract: identical
@@ -500,6 +552,8 @@ let () =
             test_synth_corrupt_trailing;
           Alcotest.test_case "pipeline warm synthesis" `Quick
             test_pipeline_warm_synthesis;
+          Alcotest.test_case "fallback replay is transparent" `Quick
+            test_fallback_replay_transparent;
           Alcotest.test_case "warm-synthesis domain determinism" `Quick
             test_warm_synthesis_domain_determinism;
         ] );

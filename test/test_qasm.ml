@@ -117,6 +117,88 @@ let test_errors () =
   expect_fail (header ^ "qreg q[1];\nrz(undefined_param) q[0];\n");
   expect_fail (header ^ "h q[0];\n") (* no qreg *)
 
+(* Parse errors name the line they were found on. *)
+let error_message src =
+  match parse src with
+  | exception Qasm.Parse_error m -> m
+  | _ -> Alcotest.fail ("expected parse error for: " ^ src)
+
+let contains ~sub s =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+let test_errors_located () =
+  let m = error_message (header ^ "qreg q[1];\n\nnonexistent q[0];\n") in
+  Alcotest.(check bool) ("statement error located: " ^ m) true
+    (String.starts_with ~prefix:"line 5: " m);
+  let m = error_message (header ^ "qreg q[1];\nrz(1.2.3) q[0];\n") in
+  Alcotest.(check bool) ("lexer error located: " ^ m) true
+    (String.starts_with ~prefix:"line 4: " m)
+
+(* Gate parameters must be finite angles: an infinite or NaN parameter is a
+   located parse error, whether written directly, as an overflowing
+   literal, or produced inside a gate definition's body. *)
+let test_non_finite_parameters () =
+  let cases =
+    [
+      ("qreg q[2];\nh q[0];\nrz(1/0) q[1];\n", 5, "+infinity");
+      ("qreg q[1];\nrx(-1/0) q[0];\n", 4, "-infinity");
+      ("qreg q[1];\nrz(0/0) q[0];\n", 4, "NaN");
+      ("qreg q[1];\nu3(0.1, 1e999, 0) q[0];\n", 4, "+infinity");
+      ("qreg q[1];\nrz(sqrt(-1)) q[0];\n", 4, "NaN");
+      ("gate g(a) x { rz(1/a) x; }\nqreg q[1];\ng(0) q[0];\n", 5, "+infinity");
+    ]
+  in
+  List.iter
+    (fun (body, line, what) ->
+      let m = error_message (header ^ body) in
+      Alcotest.(check bool) ("located: " ^ m) true
+        (String.starts_with ~prefix:(Printf.sprintf "line %d: " line) m);
+      Alcotest.(check bool) ("names the value: " ^ m) true (contains ~sub:what m))
+    cases;
+  (* large but finite angles are still accepted *)
+  let c = parse (header ^ "qreg q[1];\nrz(1e300) q[0];\n") in
+  Alcotest.(check int) "finite angle kept" 1 (Circuit.gate_count c)
+
+(* The CLI turns unreadable input and bad programs into exit 1 with a
+   message on stderr. *)
+let cli =
+  Filename.concat (Filename.dirname Sys.executable_name) "../bin/epoc_cli.exe"
+
+let run_cli args =
+  let err = Filename.temp_file "epoc_cli" ".err" in
+  let code =
+    Sys.command
+      (Printf.sprintf "%s %s >/dev/null 2>%s" cli
+         (String.concat " " (List.map Filename.quote args))
+         (Filename.quote err))
+  in
+  let ic = open_in_bin err in
+  let msg = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Sys.remove err;
+  (code, msg)
+
+let test_cli_input_errors () =
+  let missing = Filename.concat (Filename.get_temp_dir_name ()) "epoc-no-such-input.qasm" in
+  List.iter
+    (fun cmd ->
+      let code, msg = run_cli [ cmd; missing ] in
+      Alcotest.(check int) (cmd ^ ": missing file exits 1") 1 code;
+      Alcotest.(check bool) (cmd ^ ": message names the file: " ^ msg) true
+        (contains ~sub:missing msg))
+    [ "compile"; "report"; "zx" ];
+  let bad = Filename.temp_file "epoc_nonfinite" ".qasm" in
+  let oc = open_out_bin bad in
+  output_string oc (header ^ "qreg q[1];\nrz(1/0) q[0];\n");
+  close_out oc;
+  let code, msg = run_cli [ "compile"; bad ] in
+  Sys.remove bad;
+  Alcotest.(check int) "non-finite parameter exits 1" 1 code;
+  Alcotest.(check bool) ("located parse error: " ^ msg) true
+    (String.starts_with ~prefix:"parse error: line 4: " msg)
+
 let test_roundtrip_writer () =
   let c =
     parse (header ^ "qreg q[3];\nh q[0];\ncx q[0],q[1];\nrz(0.25) q[2];\nccx q[0],q[1],q[2];\n")
@@ -155,7 +237,13 @@ let () =
           Alcotest.test_case "measure/barrier" `Quick test_measure_barrier_ignored;
           Alcotest.test_case "comments" `Quick test_comments;
           Alcotest.test_case "errors" `Quick test_errors;
+          Alcotest.test_case "errors are located" `Quick test_errors_located;
+          Alcotest.test_case "non-finite parameters" `Quick
+            test_non_finite_parameters;
         ] );
+      ( "cli",
+        [ Alcotest.test_case "input errors exit 1" `Quick test_cli_input_errors ]
+      );
       ( "writer",
         [
           Alcotest.test_case "roundtrip" `Quick test_roundtrip_writer;

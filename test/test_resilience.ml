@@ -202,13 +202,14 @@ let test_exhausted_retries_fallback () =
 let test_deadline_mid_qsearch () =
   let fault = Epoc_fault.parse_exn "deadline:synth0" in
   let config = { Config.default with Config.fault = Some fault } in
-  (* bb84: narrow blocks, so QSearch actually runs (simon's blocks are
-     wider than the search cutoff and would never reach the solver) *)
-  let c = Epoc_benchmarks.Benchmarks.find "bb84" in
+  (* iswap: its first block is the one builtin block whose direct form
+     the CNOT-count oracle cannot certify, so QSearch actually runs there
+     (every block of simon and bb84 is certified and never searched) *)
+  let c = Epoc_benchmarks.Benchmarks.find "iswap" in
   let metrics = Epoc_obs.Metrics.create () in
   let r =
     Pipeline.compile
-      (Engine.session ~config ~metrics ~name:"bb84" (Engine.create ~config ()))
+      (Engine.session ~config ~metrics ~name:"iswap" (Engine.create ~config ()))
       c
   in
   Alcotest.(check bool) "synthesis failure recorded" true

@@ -175,6 +175,228 @@ let test_synthesize_block_never_worse () =
   Alcotest.(check bool) "not worse" true
     (Synthesis.cx_count r.Synthesis.circuit <= Synthesis.cx_count direct)
 
+(* --- CNOT-count oracle ------------------------------------------------------ *)
+
+let gaussian st =
+  (* Box-Muller *)
+  let u1 = Float.max 1e-300 (Random.State.float st 1.0) in
+  let u2 = Random.State.float st 1.0 in
+  sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2)
+
+(* Haar-random unitary: Gram-Schmidt on a complex Ginibre matrix. *)
+let haar st dim =
+  let cols =
+    Array.init dim (fun _ ->
+        Array.init dim (fun _ -> Cx.make (gaussian st) (gaussian st)))
+  in
+  let dot a b =
+    Array.fold_left Cx.add Cx.zero (Array.map2 (fun x y -> Cx.mul (Cx.conj x) y) a b)
+  in
+  for j = 0 to dim - 1 do
+    for k = 0 to j - 1 do
+      let p = dot cols.(k) cols.(j) in
+      cols.(j) <- Array.map2 (fun x y -> Cx.sub x (Cx.mul p y)) cols.(j) cols.(k)
+    done;
+    let nrm = sqrt (Cx.re (dot cols.(j) cols.(j))) in
+    cols.(j) <- Array.map (Cx.scale (1.0 /. nrm)) cols.(j)
+  done;
+  Mat.init dim dim (fun r c -> cols.(c).(r))
+
+let pauli g = Gate.matrix g
+
+(* exp(i (a XX + b YY + c ZZ)): the three terms commute. *)
+let canonical a b c =
+  let term t m = Epoc_linalg.Expm.expi_hermitian (Mat.kron (pauli m) (pauli m)) (-.t) in
+  Mat.mul (term a Gate.X) (Mat.mul (term b Gate.Y) (term c Gate.Z))
+
+let local st = Mat.kron (haar st 2) (haar st 2)
+
+(* A random unitary of CNOT class [k], dressed in random local gates and
+   a random global phase; coordinates stay away from class boundaries. *)
+let random_of_class st k =
+  let pick lo hi = lo +. Random.State.float st (hi -. lo) in
+  let a, b, c =
+    match k with
+    | 0 -> (0.0, 0.0, 0.0)
+    | 1 -> (Float.pi /. 4.0, 0.0, 0.0)
+    | 2 -> (pick 0.2 0.75, pick 0.05 0.15, 0.0)
+    | _ -> (pick 0.4 0.75, pick 0.2 0.35, pick 0.05 0.15)
+  in
+  Mat.scale
+    (Cx.cis (Random.State.float st 6.28))
+    (Mat.mul (local st) (Mat.mul (canonical a b c) (local st)))
+
+let gate_unitary ops = Circuit.unitary (Circuit.of_ops 2 ops)
+
+let test_min_cnots_exact_classes () =
+  let st = Random.State.make [| 23 |] in
+  let cases =
+    [
+      ("identity", Mat.identity 4, 0);
+      ("local", local st, 0);
+      ("local with phase", Mat.scale (Cx.cis 1.1) (local st), 0);
+      ("cx", pauli Gate.CX, 1);
+      ("cz", pauli Gate.CZ, 1);
+      ("reversed cx dressed", Mat.mul (local st) (gate_unitary [ op Gate.CX [ 1; 0 ] ]), 1);
+      ("iswap", pauli Gate.ISWAP, 2);
+      ("dcx", gate_unitary [ op Gate.CX [ 0; 1 ]; op Gate.CX [ 1; 0 ] ], 2);
+      ("cphase", pauli (Gate.CPhase 0.7), 2);
+      ("rzz", pauli (Gate.RZZ 0.4), 2);
+      ("swap", pauli Gate.SWAP, 3);
+    ]
+    @ List.init 5 (fun i -> (Printf.sprintf "haar %d" i, haar st 4, 3))
+  in
+  List.iter
+    (fun (name, u, k) -> Alcotest.(check int) name k (Synthesis.min_cnots u))
+    cases;
+  Alcotest.check_raises "2x2 input rejected"
+    (Invalid_argument "Synthesis.min_cnots: need a 4x4 unitary") (fun () ->
+      ignore (Synthesis.min_cnots (pauli Gate.H)))
+
+(* The class read off the canonical Weyl coordinates: local (all zero),
+   CNOT-like (pi/4, 0, 0), one zero coordinate (two CNOTs), else three. *)
+let weyl_class u =
+  let c1, c2, c3 = Epoc_qoc.Weyl.coordinates u in
+  let tol = 1e-3 in
+  if c1 < tol then 0
+  else if Float.abs (c1 -. (Float.pi /. 4.0)) < tol && c2 < tol then 1
+  else if c3 < tol then 2
+  else 3
+
+let test_min_cnots_matches_weyl () =
+  let st = Random.State.make [| 31 |] in
+  for i = 0 to 79 do
+    let k = i mod 4 in
+    let u = random_of_class st k in
+    Alcotest.(check int) (Printf.sprintf "sample %d: weyl class" i) k (weyl_class u);
+    Alcotest.(check int) (Printf.sprintf "sample %d: oracle" i) k
+      (Synthesis.min_cnots u)
+  done;
+  for i = 0 to 9 do
+    let u = haar st 4 in
+    Alcotest.(check int) (Printf.sprintf "haar %d" i) (weyl_class u)
+      (Synthesis.min_cnots u)
+  done
+
+(* Lower bound over QSearch's acceptance ball: any unitary within HS
+   distance [certified_threshold] of a k-CNOT unitary still reads <= k. *)
+let test_min_cnots_threshold_ball () =
+  let st = Random.State.make [| 47 |] in
+  let t = Synthesis.certified_threshold in
+  for i = 0 to 59 do
+    let k = i mod 3 in
+    let u = random_of_class st k in
+    (* V = U W diag(e^{i eps th}) W^dag with mean-zero th: the HS distance
+       is 1 - |sum_j e^{i eps th_j}| / 4, scaled by bisection to just
+       under the threshold *)
+    let th = Array.init 4 (fun _ -> gaussian st) in
+    let mean = Array.fold_left ( +. ) 0.0 th /. 4.0 in
+    let th = Array.map (fun x -> x -. mean) th in
+    let dist eps =
+      let sum =
+        Array.fold_left (fun acc x -> Cx.add acc (Cx.cis (eps *. x))) Cx.zero th
+      in
+      1.0 -. (Cx.norm sum /. 4.0)
+    in
+    let lo = ref 0.0 and hi = ref 1.0 in
+    for _ = 1 to 80 do
+      let mid = 0.5 *. (!lo +. !hi) in
+      if dist mid < 0.98 *. t then lo := mid else hi := mid
+    done;
+    let w = haar st 4 in
+    let d = Mat.init 4 4 (fun r c -> if r = c then Cx.cis (!lo *. th.(r)) else Cx.zero) in
+    let v = Mat.mul u (Mat.mul w (Mat.mul d (Mat.adjoint w))) in
+    let hs = Mat.hs_distance u v in
+    Alcotest.(check bool)
+      (Printf.sprintf "sample %d: distance %.3g just under %.0g" i hs t)
+      true
+      (hs < t && hs > 0.5 *. t);
+    Alcotest.(check bool)
+      (Printf.sprintf "sample %d: perturbed %d-CNOT unitary reads <= %d" i k k)
+      true
+      (Synthesis.min_cnots v <= k)
+  done
+
+(* Differential: synthesize_block returns exactly what a full search
+   followed by the acceptance rule returns, on every block of <= 2 qubits
+   of the builtin benchmarks (raw and ZX-optimized) and of seeded random
+   5-6-qubit circuits. *)
+let reference_block block =
+  let direct = Synthesis.vug_form block in
+  match
+    Qsearch.synthesize_r ~rng:(Random.State.make [| 17 |]) (Circuit.unitary block)
+  with
+  | Ok o ->
+      let c = o.Qsearch.circuit in
+      if
+        Synthesis.cx_count c < Synthesis.cx_count direct
+        || Synthesis.cx_count c = Synthesis.cx_count direct
+           && Circuit.depth c < Circuit.depth direct
+      then c
+      else direct
+  | Error _ -> direct
+
+let test_certified_skip_differential () =
+  let circuits =
+    List.map snd (Epoc_benchmarks.Benchmarks.suite ())
+    @ List.init 4 (fun i ->
+          Epoc_benchmarks.Benchmarks.random_circuit ~seed:(100 + i) ~n:(5 + (i mod 2))
+            ~length:16)
+  in
+  let blocks =
+    List.concat_map
+      (fun c ->
+        let zx = (Epoc_zx.Zx.optimize c).Epoc_zx.Zx.circuit in
+        List.concat_map
+          (fun c -> List.map Epoc_partition.Partition.block_circuit (Epoc_partition.Partition.partition c))
+          [ c; zx ])
+      circuits
+    |> List.filter (fun b -> Circuit.n_qubits b <= 2)
+  in
+  (* the raw and ZX-optimized partitions share many blocks *)
+  let blocks =
+    List.sort_uniq compare
+      (List.map (fun b -> (Circuit.n_qubits b, Circuit.ops b)) blocks)
+  in
+  let certified = ref 0 and mismatches = ref [] in
+  List.iteri
+    (fun i (n, ops) ->
+      let block = Circuit.of_ops n ops in
+      let r = Synthesis.synthesize_block block in
+      if r.Synthesis.certified then incr certified;
+      if Circuit.ops r.Synthesis.circuit <> Circuit.ops (reference_block block) then
+        mismatches := i :: !mismatches)
+    blocks;
+  Alcotest.(check (list int)) "blocks whose result differs from the search" []
+    (List.rev !mismatches);
+  let searched = List.length blocks - !certified in
+  Alcotest.(check bool)
+    (Printf.sprintf "both paths exercised (%d certified, %d searched)" !certified
+       searched)
+    true
+    (!certified > 0 && searched > 0)
+
+(* The skip is reported: a certified result is a fallback with no search
+   telemetry, and the stage report counts it. *)
+let test_certified_report () =
+  let r = Synthesis.synthesize_block (Circuit.of_ops 2 [ op Gate.CX [ 0; 1 ] ]) in
+  Alcotest.(check bool) "cx certified" true r.Synthesis.certified;
+  Alcotest.(check bool) "fallback source" true (r.Synthesis.source = Synthesis.Fallback);
+  Alcotest.(check int) "no expansions" 0 r.Synthesis.expansions;
+  let swap = Synthesis.synthesize_block (Circuit.of_ops 2 [ op Gate.SWAP [ 0; 1 ] ]) in
+  Alcotest.(check bool) "swap (3 cx, the bound) certified" true swap.Synthesis.certified;
+  let loose =
+    Synthesis.synthesize_block
+      ~options:{ fast_options with Qsearch.threshold = 1e-6 }
+      (Circuit.of_ops 2 [ op Gate.CX [ 0; 1 ] ])
+  in
+  Alcotest.(check bool) "looser threshold than certified: searched" false
+    loose.Synthesis.certified;
+  let report = Synthesis.stage_report [ r; swap; loose ] in
+  Alcotest.(check int) "stage report counts certified" 2 report.Synthesis.certified;
+  Alcotest.(check (option int)) "certified counter" (Some 2)
+    (List.assoc_opt "certified" (Synthesis.counters report))
+
 (* --- qcheck -------------------------------------------------------------- *)
 
 let arb_2q_block =
@@ -235,6 +457,18 @@ let () =
           Alcotest.test_case "block equivalence" `Quick
             test_synthesize_block_equivalence;
           Alcotest.test_case "never worse" `Quick test_synthesize_block_never_worse;
+        ] );
+      ( "oracle",
+        [
+          Alcotest.test_case "exact classes" `Quick test_min_cnots_exact_classes;
+          Alcotest.test_case "agrees with weyl coordinates" `Quick
+            test_min_cnots_matches_weyl;
+          Alcotest.test_case "lower bound over the threshold ball" `Quick
+            test_min_cnots_threshold_ball;
+          Alcotest.test_case "certified skip is reported" `Quick
+            test_certified_report;
+          Alcotest.test_case "skip matches the search (differential)" `Quick
+            test_certified_skip_differential;
         ] );
       ("properties", qcheck_cases);
     ]
