@@ -378,8 +378,9 @@ let json_file = "BENCH_pipeline.json"
    degraded_blocks/retries (the resilience counters); v3 adds the
    synth_cache_sweep section (cold/warm synthesis-cache runs); v4 adds
    the device_sweep section (per-device latency/ESP over the bundled
-   zoo) and per-benchmark ir_roundtrip flags. *)
-let bench_schema_version = 4
+   zoo) and per-benchmark ir_roundtrip flags; v5 adds qsearch_searches
+   (blocks that ran QSearch) to each synth_cache_sweep run. *)
+let bench_schema_version = 5
 
 (* --- pulse-IR round trip ---------------------------------------------------- *)
 
@@ -438,12 +439,6 @@ let device_sweep () =
       (name, runs))
     device_sweep_benchmarks
 
-let device_run_json (r : device_run) =
-  Printf.sprintf
-    "{\"device\": \"%s\", \"latency_ns\": %.3f, \"esp\": %.6f, \
-     \"pulses\": %d, \"compile_s\": %.6f, \"ir_roundtrip\": %b}"
-    r.dr_device r.dr_latency r.dr_esp r.dr_pulses r.dr_compile_s r.dr_ir_ok
-
 (* --- persistent-cache cold/warm sweep ------------------------------------- *)
 
 (* Quantify the cross-run pulse cache (lib/cache): each benchmark compiles
@@ -498,20 +493,17 @@ let cache_sweep () =
       (name, cold, warm))
     cache_sweep_benchmarks
 
-let cache_run_json (r : cache_run) =
-  Printf.sprintf
-    "{\"compile_s\": %.6f, \"latency_ns\": %.3f, \"esp\": %.6f, \
-     \"cache_hits\": %d, \"cache_misses\": %d}"
-    r.cr_compile_s r.cr_latency r.cr_esp r.cr_cache_hits r.cr_cache_misses
-
 (* --- persistent synthesis-cache cold/warm sweep ---------------------------- *)
 
 (* Quantify the synthesis cache (lib/cache/synth_store.ml): each
    benchmark compiles twice against the same fresh store directory — the
    cold run synthesizes every block and fills the store, the warm run
    replays the stored circuits and never enters QSearch
-   (qsearch.expansions empty).  Latency/ESP must be identical. *)
-let synth_sweep_benchmarks = [ "bb84"; "simon" ]
+   (qsearch.expansions empty).  Latency/ESP must be identical.  iswap is
+   the builtin whose cold run still searches: the CNOT-count oracle
+   certifies every block of the others, which would leave nothing for
+   the warm run to skip. *)
+let synth_sweep_benchmarks = [ "iswap" ]
 
 type synth_run = {
   sr_compile_s : float;
@@ -520,6 +512,7 @@ type synth_run = {
   sr_hits : int;
   sr_misses : int;
   sr_expansions : int; (* total QSearch node expansions this run *)
+  sr_searches : int; (* blocks that ran QSearch (some expand 0 nodes) *)
 }
 
 let synth_cache_sweep () =
@@ -536,16 +529,20 @@ let synth_cache_sweep () =
       let run () =
         let r = compile_once ~config:cfg ~name c in
         let m = r.Pipeline.metrics in
+        let expansions, searches =
+          match Epoc_obs.Metrics.hist_value m "qsearch.expansions" with
+          | Some h ->
+              (int_of_float h.Epoc_obs.Metrics.sum, h.Epoc_obs.Metrics.count)
+          | None -> (0, 0)
+        in
         {
           sr_compile_s = r.Pipeline.compile_time;
           sr_latency = r.Pipeline.latency;
           sr_esp = r.Pipeline.esp;
           sr_hits = Epoc_obs.Metrics.counter_value m "synth.cache.hits";
           sr_misses = Epoc_obs.Metrics.counter_value m "synth.cache.misses";
-          sr_expansions =
-            (match Epoc_obs.Metrics.hist_value m "qsearch.expansions" with
-            | Some h -> int_of_float h.Epoc_obs.Metrics.sum
-            | None -> 0);
+          sr_expansions = expansions;
+          sr_searches = searches;
         }
       in
       let cold = run () in
@@ -554,26 +551,10 @@ let synth_cache_sweep () =
       (name, cold, warm))
     synth_sweep_benchmarks
 
-let synth_run_json (r : synth_run) =
-  Printf.sprintf
-    "{\"compile_s\": %.6f, \"latency_ns\": %.3f, \"esp\": %.6f, \
-     \"synth_cache_hits\": %d, \"synth_cache_misses\": %d, \
-     \"qsearch_expansions\": %d}"
-    r.sr_compile_s r.sr_latency r.sr_esp r.sr_hits r.sr_misses r.sr_expansions
-
 (* Compile the table-1 suite and emit per-benchmark compile time, schedule
    quality, library traffic and the per-stage timing breakdown (from the
    pass manager's trace) as JSON, plus a GRAPE throughput
    microbenchmark — the numbers regressions are judged against. *)
-let stage_rows trace =
-  (* aggregate candidate stages by name: one row per pass, wall summed *)
-  String.concat ", "
-    (List.map
-       (fun (r : Trace.agg_row) ->
-         Printf.sprintf "{\"stage\": \"%s\", \"calls\": %d, \"wall_s\": %.6f}"
-           r.Trace.agg_name r.Trace.agg_calls r.Trace.agg_wall_s)
-       (Epoc.Trace.aggregate trace))
-
 let bench_json () =
   header "JSON - machine-readable pipeline timings"
     (Printf.sprintf "written to %s" json_file);
@@ -633,81 +614,114 @@ let bench_json () =
   (* per-device latency/ESP over the bundled zoo, IR round trip included *)
   let dev_sweep = device_sweep () in
   let total_s = Unix.gettimeofday () -. t0 in
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b
-    (Printf.sprintf "  \"schema_version\": %d,\n" bench_schema_version);
-  Buffer.add_string b
-    (Printf.sprintf "  \"domains\": %d,\n  \"qoc_mode\": \"estimate\",\n"
-       (Pool.domains pool));
-  Buffer.add_string b "  \"benchmarks\": [\n";
-  List.iteri
-    (fun i (name, c, (r : Pipeline.result), (s : Epoc_pulse.Library.stats)) ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"name\": \"%s\", \"qubits\": %d, \"gates\": %d, \
-            \"compile_s\": %.6f, \"latency_ns\": %.3f, \"esp\": %.6f, \
-            \"pulses\": %d, \"blocks\": %d, \"degraded_blocks\": %d, \
-            \"retries\": %d, \"ir_roundtrip\": %b, \"library\": {\"hits\": %d, \
-            \"misses\": %d, \"entries\": %d}, \"stages\": [%s], \
-            \"metrics\": %s}%s\n"
-           name (Circuit.n_qubits c) (Circuit.gate_count c)
-           r.Pipeline.compile_time r.Pipeline.latency r.Pipeline.esp
-           r.Pipeline.stats.Pipeline.pulse_count r.Pipeline.stats.Pipeline.blocks
-           r.Pipeline.stats.Pipeline.degraded_blocks
-           r.Pipeline.stats.Pipeline.retries
-           (ir_roundtrip ~name r.Pipeline.schedule)
-           s.Epoc_pulse.Library.hits s.Epoc_pulse.Library.misses
-           s.Epoc_pulse.Library.entries
-           (stage_rows r.Pipeline.trace)
-           (Epoc_obs.Json.to_string (Epoc_obs.Metrics.to_json r.Pipeline.metrics))
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string b "  ],\n";
-  Buffer.add_string b "  \"cache_sweep\": [\n";
-  List.iteri
-    (fun i (name, cold, warm) ->
-      Buffer.add_string b
-        (Printf.sprintf "    {\"name\": \"%s\", \"cold\": %s, \"warm\": %s}%s\n"
-           name (cache_run_json cold) (cache_run_json warm)
-           (if i = List.length sweep - 1 then "" else ",")))
-    sweep;
-  Buffer.add_string b "  ],\n";
-  Buffer.add_string b "  \"synth_cache_sweep\": [\n";
-  List.iteri
-    (fun i (name, cold, warm) ->
-      Buffer.add_string b
-        (Printf.sprintf "    {\"name\": \"%s\", \"cold\": %s, \"warm\": %s}%s\n"
-           name (synth_run_json cold) (synth_run_json warm)
-           (if i = List.length synth_sweep - 1 then "" else ",")))
-    synth_sweep;
-  Buffer.add_string b "  ],\n";
-  Buffer.add_string b "  \"device_sweep\": [\n";
-  List.iteri
-    (fun i (name, runs) ->
-      Buffer.add_string b
-        (Printf.sprintf "    {\"name\": \"%s\", \"runs\": [%s]}%s\n" name
-           (String.concat ", " (List.map device_run_json runs))
-           (if i = List.length dev_sweep - 1 then "" else ",")))
-    dev_sweep;
-  Buffer.add_string b "  ],\n";
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"grape_micro\": {\"slots\": 24, \"runs\": %d, \"iterations\": %d, \
-        \"wall_s\": %.6f, \"iters_per_s\": %.1f, \"batch_runs\": %d, \
-        \"batch_width\": %d, \"batch_iterations\": %d, \
-        \"batch_wall_s\": %.6f, \"batch_iters_per_s\": %.1f, \
-        \"gauge_iters_per_s\": %.1f},\n"
-       grape_reps !grape_iters grape_s
-       (float_of_int !grape_iters /. grape_s)
-       batch_reps batch_width !batch_iters batch_s
-       (float_of_int !batch_iters /. batch_s)
-       (Option.value ~default:0.0
-          (Epoc_obs.Metrics.gauge_value bench_metrics "grape.iters_per_s")));
-  Buffer.add_string b (Printf.sprintf "  \"total_wall_s\": %.6f\n}\n" total_s);
-  let oc = open_out json_file in
-  output_string oc (Buffer.contents b);
-  close_out oc;
+  let module J = Epoc_obs.Json in
+  let benchmark_json
+      (name, c, (r : Pipeline.result), (s : Epoc_pulse.Library.stats)) =
+    J.Obj
+      [
+        ("name", J.Str name);
+        ("qubits", J.of_int (Circuit.n_qubits c));
+        ("gates", J.of_int (Circuit.gate_count c));
+        ("compile_s", J.Num r.Pipeline.compile_time);
+        ("latency_ns", J.Num r.Pipeline.latency);
+        ("esp", J.Num r.Pipeline.esp);
+        ("pulses", J.of_int r.Pipeline.stats.Pipeline.pulse_count);
+        ("blocks", J.of_int r.Pipeline.stats.Pipeline.blocks);
+        ("degraded_blocks", J.of_int r.Pipeline.stats.Pipeline.degraded_blocks);
+        ("retries", J.of_int r.Pipeline.stats.Pipeline.retries);
+        ("ir_roundtrip", J.Bool (ir_roundtrip ~name r.Pipeline.schedule));
+        ( "library",
+          J.Obj
+            [
+              ("hits", J.of_int s.Epoc_pulse.Library.hits);
+              ("misses", J.of_int s.Epoc_pulse.Library.misses);
+              ("entries", J.of_int s.Epoc_pulse.Library.entries);
+            ] );
+        ("stages", Trace.stages_json r.Pipeline.trace);
+        ("metrics", Epoc_obs.Metrics.to_json r.Pipeline.metrics);
+      ]
+  in
+  let cold_warm json (name, cold, warm) =
+    J.Obj [ ("name", J.Str name); ("cold", json cold); ("warm", json warm) ]
+  in
+  let cache_json r =
+    J.Obj
+      [
+        ("compile_s", J.Num r.cr_compile_s);
+        ("latency_ns", J.Num r.cr_latency);
+        ("esp", J.Num r.cr_esp);
+        ("cache_hits", J.of_int r.cr_cache_hits);
+        ("cache_misses", J.of_int r.cr_cache_misses);
+      ]
+  in
+  let synth_json r =
+    J.Obj
+      [
+        ("compile_s", J.Num r.sr_compile_s);
+        ("latency_ns", J.Num r.sr_latency);
+        ("esp", J.Num r.sr_esp);
+        ("synth_cache_hits", J.of_int r.sr_hits);
+        ("synth_cache_misses", J.of_int r.sr_misses);
+        ("qsearch_expansions", J.of_int r.sr_expansions);
+        ("qsearch_searches", J.of_int r.sr_searches);
+      ]
+  in
+  let device_json r =
+    J.Obj
+      [
+        ("device", J.Str r.dr_device);
+        ("latency_ns", J.Num r.dr_latency);
+        ("esp", J.Num r.dr_esp);
+        ("pulses", J.of_int r.dr_pulses);
+        ("compile_s", J.Num r.dr_compile_s);
+        ("ir_roundtrip", J.Bool r.dr_ir_ok);
+      ]
+  in
+  let per_s iters wall = J.Num (float_of_int iters /. wall) in
+  let doc =
+    J.Obj
+      [
+        ("schema_version", J.of_int bench_schema_version);
+        ("domains", J.of_int (Pool.domains pool));
+        ("qoc_mode", J.Str "estimate");
+        ("benchmarks", J.Arr (List.map benchmark_json rows));
+        ("cache_sweep", J.Arr (List.map (cold_warm cache_json) sweep));
+        ( "synth_cache_sweep",
+          J.Arr (List.map (cold_warm synth_json) synth_sweep) );
+        ( "device_sweep",
+          J.Arr
+            (List.map
+               (fun (name, runs) ->
+                 J.Obj
+                   [
+                     ("name", J.Str name);
+                     ("runs", J.Arr (List.map device_json runs));
+                   ])
+               dev_sweep) );
+        ( "grape_micro",
+          J.Obj
+            [
+              ("slots", J.of_int 24);
+              ("runs", J.of_int grape_reps);
+              ("iterations", J.of_int !grape_iters);
+              ("wall_s", J.Num grape_s);
+              ("iters_per_s", per_s !grape_iters grape_s);
+              ("batch_runs", J.of_int batch_reps);
+              ("batch_width", J.of_int batch_width);
+              ("batch_iterations", J.of_int !batch_iters);
+              ("batch_wall_s", J.Num batch_s);
+              ("batch_iters_per_s", per_s !batch_iters batch_s);
+              ( "gauge_iters_per_s",
+                J.Num
+                  (Option.value ~default:0.0
+                     (Epoc_obs.Metrics.gauge_value bench_metrics
+                        "grape.iters_per_s")) );
+            ] );
+        ("total_wall_s", J.Num total_s);
+      ]
+  in
+  Out_channel.with_open_bin json_file (fun oc ->
+      Out_channel.output_string oc (J.to_string ~indent:true doc ^ "\n"));
   List.iter
     (fun (name, _, (r : Pipeline.result), _) ->
       Printf.printf "%-12s compile %8.4f s   latency %10.1f ns\n" name
@@ -730,10 +744,10 @@ let bench_json () =
   List.iter
     (fun (name, cold, warm) ->
       Printf.printf
-        "%-12s cold %8.3f s (%d expansions) -> warm %8.3f s (%d hits, %d \
-         expansions, latency %s, esp %s)\n"
-        name cold.sr_compile_s cold.sr_expansions warm.sr_compile_s
-        warm.sr_hits warm.sr_expansions
+        "%-12s cold %8.3f s (%d searches, %d expansions) -> warm %8.3f s (%d \
+         hits, %d searches, latency %s, esp %s)\n"
+        name cold.sr_compile_s cold.sr_searches cold.sr_expansions
+        warm.sr_compile_s warm.sr_hits warm.sr_searches
         (if cold.sr_latency = warm.sr_latency then "identical" else "DIFFERS")
         (if cold.sr_esp = warm.sr_esp then "identical" else "DIFFERS"))
     synth_sweep;

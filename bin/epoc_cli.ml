@@ -227,10 +227,24 @@ let trace_chrome =
              "Write the span tree as Chrome trace-event JSON to $(docv) \
               (open in chrome://tracing or Perfetto).")
 
-let write_file path contents =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
-      output_string oc contents)
+(* Write [contents ()] to an optional output file, announced as [what]
+   on stderr.  An I/O failure prints a message and returns [false]; the
+   command then exits 1. *)
+let write_output ~what path contents =
+  match path with
+  | None -> true
+  | Some file -> (
+      match
+        Out_channel.with_open_bin file (fun oc ->
+            Out_channel.output_string oc (contents ()))
+      with
+      | () ->
+          Printf.eprintf "wrote %s to %s\n" what file;
+          true
+      | exception Sys_error m ->
+          (* an open failure reads "FILE: reason" *)
+          Printf.eprintf "error: cannot write %s: %s\n" what m;
+          false)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -343,27 +357,27 @@ let compile_cmd =
               run_flow_named flow ~engine ~config ~trace:sink ~metrics
                 ~name:spec circuit
             in
-            (match chrome with
-            | None -> ()
-            | Some file ->
-                write_file file (T.to_chrome_json result.Epoc.Pipeline.trace);
-                Printf.eprintf "wrote chrome trace to %s\n" file);
-            (match export_ir with
-            | None -> ()
-            | Some file ->
-                write_file file
-                  (Epoc_pulseir.Pulseir.to_string
-                     (Epoc_pulseir.Pulseir.export ?device ~name:spec
-                        result.Epoc.Pipeline.schedule));
-                Printf.eprintf "wrote pulse IR to %s\n" file);
-            if trace_json then
-              print_endline (T.to_json result.Epoc.Pipeline.trace)
+            let chrome_ok =
+              write_output ~what:"chrome trace" chrome (fun () ->
+                  T.to_chrome_json result.Epoc.Pipeline.trace)
+            in
+            let ir_ok =
+              write_output ~what:"pulse IR" export_ir (fun () ->
+                  Epoc_pulseir.Pulseir.to_string
+                    (Epoc_pulseir.Pulseir.export ?device ~name:spec
+                       result.Epoc.Pipeline.schedule))
+            in
+            if not (chrome_ok && ir_ok) then 1
             else begin
-              report result schedule;
-              if trace then
-                Format.printf "@.%a@." T.pp result.Epoc.Pipeline.trace
-            end;
-            exit_status ~strict result)
+              if trace_json then
+                print_endline (T.to_json result.Epoc.Pipeline.trace)
+              else begin
+                report result schedule;
+                if trace then
+                  Format.printf "@.%a@." T.pp result.Epoc.Pipeline.trace
+              end;
+              exit_status ~strict result
+            end)
   in
   let term =
     Term.(
@@ -376,25 +390,6 @@ let compile_cmd =
   Cmd.v (Cmd.info "compile" ~doc:"Compile a circuit to a pulse schedule.") term
 
 (* --- epoc report ---------------------------------------------------------- *)
-
-let gc_json (g : T.gc_delta) =
-  J.Obj
-    [
-      ("minor_words", J.Num g.T.minor_words);
-      ("major_words", J.Num g.T.major_words);
-      ("promoted_words", J.Num g.T.promoted_words);
-      ("minor_collections", J.of_int g.T.minor_collections);
-      ("major_collections", J.of_int g.T.major_collections);
-    ]
-
-let agg_row_json (r : T.agg_row) =
-  J.Obj
-    ([
-       ("stage", J.Str r.T.agg_name);
-       ("calls", J.of_int r.T.agg_calls);
-       ("wall_s", J.Num r.T.agg_wall_s);
-     ]
-    @ match r.T.agg_gc with None -> [] | Some g -> [ ("gc", gc_json g) ])
 
 (* Version of the report's JSON shape; tools consuming it (see
    tools/bench_compare.ml for the bench flavour) check this before
@@ -413,8 +408,7 @@ let report_json (r : Epoc.Pipeline.result) metrics ~process =
       ( "degraded_blocks",
         J.of_int r.Epoc.Pipeline.stats.Epoc.Pipeline.degraded_blocks );
       ("retries", J.of_int r.Epoc.Pipeline.stats.Epoc.Pipeline.retries);
-      ( "stages",
-        J.Arr (List.map agg_row_json (T.aggregate r.Epoc.Pipeline.trace)) );
+      ("stages", T.stages_json r.Epoc.Pipeline.trace);
       ("metrics", M.to_json metrics);
       ("process", M.to_json process);
     ]
@@ -538,22 +532,25 @@ let report_cmd =
               run_flow_named flow ~engine ~config ~trace:sink ~metrics
                 ~name:spec circuit
             in
-            (match chrome with
-            | None -> ()
-            | Some file ->
-                write_file file (T.to_chrome_json result.Epoc.Pipeline.trace);
-                Printf.eprintf "wrote chrome trace to %s\n" file);
-            if prometheus then
-              (* same exposition shape as the daemon's {"cmd":"prometheus"}:
-                 engine registry under epoc_, per-run values under epoc_run_ *)
-              print_string
-                (M.to_prometheus ~prefix:"epoc_" process
-                ^ M.to_prometheus ~prefix:"epoc_run_" metrics)
-            else if json then
-              print_endline
-                (J.to_string ~indent:true (report_json result metrics ~process))
-            else report_text result metrics ~process;
-            exit_status ~strict result)
+            if
+              not
+                (write_output ~what:"chrome trace" chrome (fun () ->
+                     T.to_chrome_json result.Epoc.Pipeline.trace))
+            then 1
+            else begin
+              if prometheus then
+                (* same exposition shape as the daemon's {"cmd":"prometheus"}:
+                   engine registry under epoc_, per-run values under epoc_run_ *)
+                print_string
+                  (M.to_prometheus ~prefix:"epoc_" process
+                  ^ M.to_prometheus ~prefix:"epoc_run_" metrics)
+              else if json then
+                print_endline
+                  (J.to_string ~indent:true
+                     (report_json result metrics ~process))
+              else report_text result metrics ~process;
+              exit_status ~strict result
+            end)
   in
   let json_flag =
     Arg.(value & flag & info [ "json" ] ~doc:"Emit the report as JSON.")

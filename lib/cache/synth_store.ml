@@ -44,44 +44,11 @@ let gate_to_json (g : Gate.t) =
 
 let gate_of_parts name (params : float list) (matrix : Mat.t option) :
     Gate.t option =
-  match (name, params) with
-  | "id", [] -> Some Gate.I
-  | "x", [] -> Some Gate.X
-  | "y", [] -> Some Gate.Y
-  | "z", [] -> Some Gate.Z
-  | "h", [] -> Some Gate.H
-  | "s", [] -> Some Gate.S
-  | "sdg", [] -> Some Gate.Sdg
-  | "t", [] -> Some Gate.T
-  | "tdg", [] -> Some Gate.Tdg
-  | "sx", [] -> Some Gate.SX
-  | "sxdg", [] -> Some Gate.SXdg
-  | "rx", [ a ] -> Some (Gate.RX a)
-  | "ry", [ a ] -> Some (Gate.RY a)
-  | "rz", [ a ] -> Some (Gate.RZ a)
-  | "p", [ a ] -> Some (Gate.Phase a)
-  | "u3", [ a; b; c ] -> Some (Gate.U3 (a, b, c))
-  | "cx", [] -> Some Gate.CX
-  | "cy", [] -> Some Gate.CY
-  | "cz", [] -> Some Gate.CZ
-  | "ch", [] -> Some Gate.CH
-  | "swap", [] -> Some Gate.SWAP
-  | "iswap", [] -> Some Gate.ISWAP
-  | "crx", [ a ] -> Some (Gate.CRX a)
-  | "cry", [ a ] -> Some (Gate.CRY a)
-  | "crz", [ a ] -> Some (Gate.CRZ a)
-  | "cp", [ a ] -> Some (Gate.CPhase a)
-  | "rxx", [ a ] -> Some (Gate.RXX a)
-  | "ryy", [ a ] -> Some (Gate.RYY a)
-  | "rzz", [ a ] -> Some (Gate.RZZ a)
-  | "ccx", [] -> Some Gate.CCX
-  | "ccz", [] -> Some Gate.CCZ
-  | "cswap", [] -> Some Gate.CSWAP
-  | _ -> (
+  match Gate.of_name name params with
+  | Some g -> Some g
+  | None ->
       (* Anything else (VUGs, daggered composites) must carry its matrix. *)
-      match matrix with
-      | Some m -> Some (Gate.Unitary { name; matrix = m })
-      | None -> None)
+      Option.map (fun m -> Gate.Unitary { name; matrix = m }) matrix
 
 let gate_of_json j =
   match Option.bind (Json.member "g" j) Json.to_str with

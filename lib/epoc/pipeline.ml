@@ -25,9 +25,7 @@
    in candidate order under "candN/" prefixes.  The trace rides on the
    result and is the only non-deterministic part of it (wall-clock). *)
 
-open Epoc_linalg
 open Epoc_circuit
-open Epoc_qoc
 open Epoc_pulse
 open Epoc_parallel
 module Metrics = Epoc_obs.Metrics
@@ -71,20 +69,6 @@ type flow = {
     Pass.ctx -> Circuit.t -> (Circuit.t * bool) list * (string * int) list;
   passes : Config.t -> Pass.t list;
 }
-
-(* Library-backed resolution of a single unitary, for callers outside the
-   batched pipeline path. *)
-let pulse_for (config : Config.t) (library : Library.t) (hw_block : Hardware.t)
-    ~(vug_circuit : Circuit.t) (u : Mat.t) =
-  match Library.find library u with
-  | Some e -> (e.Library.duration, e.Library.fidelity)
-  | None ->
-      let r = Stages.compute_pulse config hw_block ~vug_circuit u in
-      (* degraded results are block-local prices, never library entries *)
-      if not r.Ir.jr_fallback then
-        Library.add library u ~duration:r.Ir.jr_duration
-          ~fidelity:r.Ir.jr_fidelity ?pulse:r.Ir.jr_pulse ();
-      (r.Ir.jr_duration, r.Ir.jr_fidelity)
 
 (* The EPOC per-candidate pipeline, declaratively derived from the
    config: which passes run (reorder, regroup sweep vs trivial grouping)
@@ -274,12 +258,6 @@ let compile_flow (session : Engine.session) flow (circuit : Circuit.t) =
      live on engine-owned state, outside the determinism contract. *)
   let module Json = Epoc_obs.Json in
   let fingerprint = Digest.to_hex (Digest.string (Circuit.to_string circuit)) in
-  let stage_breakdown =
-    Json.Obj
-      (List.map
-         (fun (r : Trace.agg_row) -> (r.Trace.agg_name, Json.Num r.Trace.agg_wall_s))
-         (Trace.aggregate trace))
-  in
   let flight_payload =
     Json.Obj
       [
@@ -305,7 +283,7 @@ let compile_flow (session : Engine.session) flow (circuit : Circuit.t) =
           Json.of_int (Metrics.counter_value metrics "synth.cache.hits") );
         ( "synth_cache_misses",
           Json.of_int (Metrics.counter_value metrics "synth.cache.misses") );
-        ("stages_s", stage_breakdown);
+        ("stages_s", Trace.stage_walls_json trace);
       ]
   in
   Epoc_obs.Flight.record (Engine.flight engine) ~id:request_id

@@ -285,37 +285,22 @@ let compute_pulse_batch ?(request_id = "-") ?metrics ?process_metrics ?fault
       result)
     states
 
-(* Pulse duration + fidelity (+ control amplitudes, in Grape mode) for
-   one regrouped unitary: a batch of one (see {!compute_pulse_batch}
-   for the Grape-mode resilience policy).  [init] seeds the GRAPE
-   ascent with cached near-neighbor amplitudes (a persistent-store warm
-   start). *)
-let compute_pulse ?metrics ?init ?fault ?(budget = Epoc_budget.unlimited)
-    ?(site = "block") ?(seed = 0) (config : Config.t) (hw_block : Hardware.t)
-    ~(vug_circuit : Circuit.t) (u : Mat.t) : Ir.job_result =
-  match config.Config.qoc_mode with
-  | Config.Estimate ->
-      let record f = Option.iter f metrics in
-      let e = Latency.estimate ~unitary:u hw_block vug_circuit in
-      record (fun m -> Metrics.incr m "qoc.estimates");
-      let result =
-        {
-          Ir.jr_duration = e.Latency.est_duration;
-          jr_fidelity = e.Latency.est_fidelity;
-          jr_pulse = None;
-          jr_retries = 0;
-          jr_fallback = false;
-          jr_error = None;
-        }
-      in
-      record (fun m ->
-          Metrics.observe m "pulse.duration_ns" result.Ir.jr_duration);
-      result
-  | Config.Grape ->
-      List.hd
-        (compute_pulse_batch ?metrics ?fault ~budget config hw_block
-           [ { pr_u = u; pr_vug = vug_circuit; pr_init = init;
-               pr_site = site; pr_seed = seed } ])
+(* Estimate-mode pulse for one regrouped unitary: the calibrated
+   duration/fidelity estimate, never degraded. *)
+let estimate_pulse ?metrics (hw_block : Hardware.t) ~(vug_circuit : Circuit.t)
+    (u : Mat.t) : Ir.job_result =
+  let record f = Option.iter f metrics in
+  let e = Latency.estimate ~unitary:u hw_block vug_circuit in
+  record (fun m -> Metrics.incr m "qoc.estimates");
+  record (fun m -> Metrics.observe m "pulse.duration_ns" e.Latency.est_duration);
+  {
+    Ir.jr_duration = e.Latency.est_duration;
+    jr_fidelity = e.Latency.est_fidelity;
+    jr_pulse = None;
+    jr_retries = 0;
+    jr_fallback = false;
+    jr_error = None;
+  }
 
 (* Greedy nearest-neighbor chain over the global-phase-invariant
    Hilbert-Schmidt distance: AccQOC's similarity ordering.  Start at
@@ -617,10 +602,8 @@ let resolve_pulses ?(request_id = "-") ?metrics ?process_metrics ?cache ?fault
             (* telemetry recording is commutative (counters + histogram
                observations), so sharing the registry across workers
                keeps the determinism contract *)
-            compute_pulse ?metrics ?init:j.Ir.jinit ?fault ~budget
-              ~site:(Printf.sprintf "block%d" j.Ir.jid)
-              ~seed:j.Ir.jid config (hw_of j)
-              ~vug_circuit:j.Ir.jlocal j.Ir.ju)
+            estimate_pulse ?metrics (hw_of j) ~vug_circuit:j.Ir.jlocal
+              j.Ir.ju)
           reps
       in
       List.iter2
@@ -691,7 +674,7 @@ let device_coupling (config : Config.t) =
 let partition =
   Pass.make "partition"
     ~counters:(fun _ (ir : Ir.t) ->
-      Partition.counters (Partition.stage_report ir.Ir.blocks))
+      Partition.counters ir.Ir.blocks)
     (fun ctx ir ->
       {
         ir with
@@ -714,7 +697,7 @@ let partition =
 let synthesis =
   Pass.make "synthesis"
     ~counters:(fun _ (ir : Ir.t) ->
-      Synthesis.counters (Synthesis.stage_report (List.map snd ir.Ir.synth)))
+      Synthesis.counters (List.map snd ir.Ir.synth))
     (fun ctx ir ->
       let config = ctx.Pass.config in
       (* index before the fan-out: the block's position names its solve
@@ -884,9 +867,7 @@ let regroup_sweep =
 let pulses =
   Pass.make "pulses"
     ~counters:(fun ctx (ir : Ir.t) ->
-      Latency.counters
-        (Latency.stage_report ~computed:ir.Ir.pulse_computed
-           (resolved_durations ir))
+      Latency.counters ~computed:ir.Ir.pulse_computed (resolved_durations ir)
       @ Library.counters (Library.stats ctx.Pass.library))
     (fun ctx ir ->
       (* batch-order job ids name the solve sites ("block<jid>"); the

@@ -227,58 +227,68 @@ let pp ppf t =
         evs;
       Fmt.pf ppf "@]"
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+(* --- JSON encoders --------------------------------------------------------- *)
 
-let gc_json_fields g =
-  Printf.sprintf
-    "\"minor_words\": %.0f, \"major_words\": %.0f, \"promoted_words\": %.0f, \
-     \"minor_collections\": %d, \"major_collections\": %d"
-    g.minor_words g.major_words g.promoted_words g.minor_collections
-    g.major_collections
+module Json = Epoc_obs.Json
+
+(* The one GC-delta encoding, as object fields: nested under "gc" in the
+   trace and stage rows, flattened into Chrome event args. *)
+let gc_fields g =
+  [
+    ("minor_words", Json.Num g.minor_words);
+    ("major_words", Json.Num g.major_words);
+    ("promoted_words", Json.Num g.promoted_words);
+    ("minor_collections", Json.of_int g.minor_collections);
+    ("major_collections", Json.of_int g.major_collections);
+  ]
+
+let gc_member = function
+  | None -> []
+  | Some g -> [ ("gc", Json.Obj (gc_fields g)) ]
+let counter_fields = List.map (fun (k, v) -> (k, Json.of_int v))
+
+(* Stage breakdown, row form: one object per aggregated stage, with its
+   summed GC delta only when the sink captured one. *)
+let stages_json t =
+  Json.Arr
+    (List.map
+       (fun r ->
+         Json.Obj
+           ([
+              ("stage", Json.Str r.agg_name);
+              ("calls", Json.of_int r.agg_calls);
+              ("wall_s", Json.Num r.agg_wall_s);
+            ]
+           @ gc_member r.agg_gc))
+       (aggregate t))
+
+(* Stage breakdown, name -> summed wall seconds. *)
+let stage_walls_json t =
+  Json.Obj
+    (List.map (fun r -> (r.agg_name, Json.Num r.agg_wall_s)) (aggregate t))
 
 (* Machine-readable form: start times relative to the first span.  An
    empty trace still emits the full shape with an explicit empty list. *)
 let to_json t =
   let evs = events t in
-  match evs with
-  | [] -> "{\n  \"top_level_s\": 0.000000,\n  \"events\": []\n}"
-  | first :: _ ->
-      let t0 = first.start_s in
-      let b = Buffer.create 1024 in
-      Buffer.add_string b "{\n";
-      Buffer.add_string b
-        (Printf.sprintf "  \"top_level_s\": %.6f,\n  \"events\": [\n"
-           (top_level_s t));
-      List.iteri
-        (fun i e ->
-          Buffer.add_string b
-            (Printf.sprintf
-               "    {\"name\": \"%s\", \"depth\": %d, \"start_s\": %.6f, \
-                \"wall_s\": %.6f, \"counters\": {%s}%s}%s\n"
-               (json_escape e.name) e.depth (e.start_s -. t0) (duration e)
-               (String.concat ", "
-                  (List.map
-                     (fun (k, v) -> Printf.sprintf "\"%s\": %d" (json_escape k) v)
-                     e.counters))
-               (match e.gc with
-               | None -> ""
-               | Some g -> Printf.sprintf ", \"gc\": {%s}" (gc_json_fields g))
-               (if i = List.length evs - 1 then "" else ",")))
-        evs;
-      Buffer.add_string b "  ]\n}";
-      Buffer.contents b
+  let t0 = match evs with [] -> 0.0 | e :: _ -> e.start_s in
+  let event e =
+    Json.Obj
+      ([
+         ("name", Json.Str e.name);
+         ("depth", Json.of_int e.depth);
+         ("start_s", Json.Num (e.start_s -. t0));
+         ("wall_s", Json.Num (duration e));
+         ("counters", Json.Obj (counter_fields e.counters));
+       ]
+      @ gc_member e.gc)
+  in
+  Json.to_string ~indent:true
+    (Json.Obj
+       [
+         ("top_level_s", Json.Num (top_level_s t));
+         ("events", Json.Arr (List.map event evs));
+       ])
 
 (* --- Chrome trace-event export ------------------------------------------- *)
 
@@ -286,7 +296,6 @@ let to_json t =
    one process, the driver's spans on thread 0 and each candidate's spans
    on their own thread, counters and GC deltas as event args. *)
 let to_chrome_json t =
-  let open Epoc_obs in
   let evs = events t in
   let t0 = match evs with [] -> 0.0 | e :: _ -> e.start_s in
   let tid_of e = match cand_index e.name with Some i -> i + 1 | None -> 0 in
@@ -294,20 +303,10 @@ let to_chrome_json t =
     List.map
       (fun e ->
         let args =
-          List.map (fun (k, v) -> (k, Json.of_int v)) e.counters
-          @ (match e.gc with
-            | None -> []
-            | Some g ->
-                [
-                  ("minor_words", Json.Num g.minor_words);
-                  ("major_words", Json.Num g.major_words);
-                  ("promoted_words", Json.Num g.promoted_words);
-                  ("minor_collections", Json.of_int g.minor_collections);
-                  ("major_collections", Json.of_int g.major_collections);
-                ])
+          counter_fields e.counters @ Option.fold ~none:[] ~some:gc_fields e.gc
         in
         {
-          Chrome_trace.name = base_name e.name;
+          Epoc_obs.Chrome_trace.name = base_name e.name;
           cat = "epoc";
           ts_us = 1e6 *. (e.start_s -. t0);
           dur_us = 1e6 *. duration e;
@@ -324,4 +323,4 @@ let to_chrome_json t =
         (1, tid, if tid = 0 then "driver" else Printf.sprintf "cand%d" (tid - 1)))
       tids
   in
-  Chrome_trace.to_string ~process_name:"epoc" ~thread_names spans
+  Epoc_obs.Chrome_trace.to_string ~process_name:"epoc" ~thread_names spans

@@ -73,12 +73,31 @@ val aggregate : t -> agg_row list
 (** Human-readable indented span tree, durations in milliseconds. *)
 val pp : Format.formatter -> t -> unit
 
-(** Machine-readable form; start times relative to the first span.  An
-    empty trace still emits the full shape with an explicit empty
-    event list. *)
+(** {1 JSON}
+
+    Every trace artifact is built as an {!Epoc_obs.Json.t} from the
+    encoders below, so a GC delta or a stage breakdown has one encoding
+    wherever it appears. *)
+
+(** Stage breakdown, row form: one [{"stage", "calls", "wall_s"}] object
+    per {!aggregate} row, plus ["gc"] (the summed delta) only when the
+    sink captured GC stats.  The [stages] array of [epoc report --json]
+    and of the bench file. *)
+val stages_json : t -> Epoc_obs.Json.t
+
+(** Stage breakdown, name form: [{stage: wall_s, ...}] in {!aggregate}
+    order.  The serve response's [stages] and the flight recorder's
+    [stages_s]. *)
+val stage_walls_json : t -> Epoc_obs.Json.t
+
+(** Machine-readable form, indented: [top_level_s] and one event object
+    per span ([name], [depth], [start_s] relative to the first span,
+    [wall_s], [counters] in recorded order, and [gc] when captured).  An
+    empty trace still emits the full shape with an explicit empty event
+    list. *)
 val to_json : t -> string
 
 (** The span tree as Chrome trace-event JSON (chrome://tracing,
     Perfetto): driver spans on thread 0, each candidate on its own
-    thread. *)
+    thread; counters and the GC delta's fields are the event args. *)
 val to_chrome_json : t -> string

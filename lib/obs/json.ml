@@ -2,9 +2,8 @@
    compact/indented printer and a recursive-descent parser.
 
    The repo deliberately carries no third-party JSON dependency; every
-   machine-readable artifact (trace JSON, Chrome trace events, the bench
-   regression gate's input, `epoc report --json`) speaks through this
-   module, so the exporters and the tools that consume them share one
+   machine-readable artifact (see json.mli) is built as a [t] and printed
+   here, so the exporters and the tools that consume them share one
    definition of well-formedness. *)
 
 type t =

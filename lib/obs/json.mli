@@ -3,9 +3,11 @@
 
     The repo deliberately carries no third-party JSON dependency; every
     machine-readable artifact (trace JSON, Chrome trace events, the
-    serve protocol, `epoc report --json`) speaks through this module,
-    so the exporters and the tools that consume them share one
-    definition of well-formedness. *)
+    serve protocol and flight recorder, `epoc report --json`, the
+    pulse and synthesis stores, pulse-IR, device files and the bench
+    file) is built as a {!t} and printed by {!to_string}, so the
+    exporters and the tools that consume them share one definition of
+    well-formedness. *)
 
 type t =
   | Null

@@ -318,33 +318,15 @@ let to_grouped_circuit ~n blocks =
          })
        blocks)
 
-(* --- stage report ------------------------------------------------------- *)
+(* --- stage counters ------------------------------------------------------ *)
 
-(* Structured summary of one partitioning (or regrouping) run, for the
-   pass pipeline's trace sink (lib/epoc). *)
-type stage_report = {
-  block_count : int;
-  max_block_qubits : int;
-  max_block_ops : int;
-  total_ops : int;
-}
-
-let stage_report blocks =
-  List.fold_left
-    (fun r b ->
-      {
-        block_count = r.block_count + 1;
-        max_block_qubits = max r.max_block_qubits (block_qubit_count b);
-        max_block_ops = max r.max_block_ops (block_op_count b);
-        total_ops = r.total_ops + block_op_count b;
-      })
-    { block_count = 0; max_block_qubits = 0; max_block_ops = 0; total_ops = 0 }
-    blocks
-
-let counters (r : stage_report) =
+(* Trace counters of one partitioning (or regrouping) run, for the pass
+   pipeline's trace sink (lib/epoc). *)
+let counters blocks =
+  let max_of f = List.fold_left (fun acc b -> max acc (f b)) 0 blocks in
   [
-    ("blocks", r.block_count);
-    ("max_block_qubits", r.max_block_qubits);
-    ("max_block_ops", r.max_block_ops);
-    ("total_ops", r.total_ops);
+    ("blocks", List.length blocks);
+    ("max_block_qubits", max_of block_qubit_count);
+    ("max_block_ops", max_of block_op_count);
+    ("total_ops", List.fold_left (fun acc b -> acc + block_op_count b) 0 blocks);
   ]

@@ -68,14 +68,8 @@ val preserves_order : Circuit.t -> block list -> bool
     this is the form handed to QOC. *)
 val to_grouped_circuit : n:int -> block list -> Circuit.t
 
-(** {1 Stage report} *)
+(** {1 Stage counters} *)
 
-type stage_report = {
-  block_count : int;
-  max_block_qubits : int;
-  max_block_ops : int;
-  total_ops : int;
-}
-
-val stage_report : block list -> stage_report
-val counters : stage_report -> (string * int) list
+(** Trace counters of a partition, in this order: [blocks],
+    [max_block_qubits], [max_block_ops], [total_ops]. *)
+val counters : block list -> (string * int) list

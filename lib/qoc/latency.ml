@@ -374,28 +374,19 @@ let guess_slots ?unitary (hw : Hardware.t) (vug_circuit : Circuit.t) =
   let e = estimate ?unitary hw vug_circuit in
   max 2 (int_of_float (Float.ceil (e.est_duration /. hw.Hardware.dt)))
 
-(* --- stage report ------------------------------------------------------- *)
+(* --- stage counters ------------------------------------------------------ *)
 
-(* Structured summary of a batch of resolved pulses (QOC stage), for the
-   pass pipeline's trace sink (lib/epoc): how many pulses were needed,
-   how many required a fresh duration search / estimate (the rest came
-   from the pulse library), and the summed pulse time in whole ns. *)
-type stage_report = {
-  pulses : int;
-  computed : int;
-  total_duration_ns : float;
-}
-
-let stage_report ~computed (resolved : (float * float) list) =
-  {
-    pulses = List.length resolved;
-    computed;
-    total_duration_ns = List.fold_left (fun acc (d, _) -> acc +. d) 0.0 resolved;
-  }
-
-let counters (r : stage_report) =
+(* Trace counters of a batch of resolved [(duration, fidelity)] pulses
+   (QOC stage), for the pass pipeline's trace sink (lib/epoc): how many
+   pulses were needed, how many required a fresh duration search /
+   estimate (the rest came from the pulse library), and the summed
+   pulse time in whole ns. *)
+let counters ~computed (resolved : (float * float) list) =
   [
-    ("pulses", r.pulses);
-    ("computed", r.computed);
-    ("duration_ns", int_of_float (Float.round r.total_duration_ns));
+    ("pulses", List.length resolved);
+    ("computed", computed);
+    ( "duration_ns",
+      int_of_float
+        (Float.round (List.fold_left (fun acc (d, _) -> acc +. d) 0.0 resolved))
+    );
   ]

@@ -127,15 +127,10 @@ val estimate : ?unitary:Mat.t -> Hardware.t -> Circuit.t -> estimate
     estimate. *)
 val guess_slots : ?unitary:Mat.t -> Hardware.t -> Circuit.t -> int
 
-(** {1 Stage report} *)
+(** {1 Stage counters} *)
 
-(** Structured summary of a batch of resolved pulses (QOC stage) for
-    the pass pipeline's trace sink. *)
-type stage_report = {
-  pulses : int;
-  computed : int;
-  total_duration_ns : float;
-}
-
-val stage_report : computed:int -> (float * float) list -> stage_report
-val counters : stage_report -> (string * int) list
+(** Trace counters of a batch of resolved [(duration, fidelity)] pulses
+    (QOC stage), in this order: [pulses], [computed] (fresh searches or
+    estimates; the rest came from the library), [duration_ns] (summed,
+    rounded to whole ns). *)
+val counters : computed:int -> (float * float) list -> (string * int) list

@@ -159,15 +159,6 @@ let serve_fields ?queue_wait_s ?worker ?(drained = false) () =
   @ (match worker with Some w -> [ ("worker", J.of_int w) ] | None -> [])
   @ if drained then [ ("drained", J.Bool true) ] else []
 
-(* Per-stage wall-clock breakdown of one compile, from the result's
-   trace aggregate (candN/ prefixes already stripped). *)
-let stages_json (r : Epoc.Pipeline.result) =
-  J.Obj
-    (List.map
-       (fun (row : Epoc.Trace.agg_row) ->
-         (row.Epoc.Trace.agg_name, J.Num row.Epoc.Trace.agg_wall_s))
-       (Epoc.Trace.aggregate r.Epoc.Pipeline.trace))
-
 let result_response ~jid ?queue_wait_s ?worker ?drained
     (r : Epoc.Pipeline.result) =
   let status = status_of_result r in
@@ -191,7 +182,7 @@ let result_response ~jid ?queue_wait_s ?worker ?drained
         ( "synth_cache_misses",
           J.of_int
             (M.counter_value r.Epoc.Pipeline.metrics "synth.cache.misses") );
-        ("stages", stages_json r);
+        ("stages", Epoc.Trace.stage_walls_json r.Epoc.Pipeline.trace);
         ("schedule", schedule_json r.Epoc.Pipeline.schedule);
         ("metrics", M.to_json r.Epoc.Pipeline.metrics);
       ])

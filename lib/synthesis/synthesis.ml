@@ -167,44 +167,22 @@ let synthesize_block ?(options = Qsearch.default_options)
 let verify ~eps (block : Circuit.t) (result : block_result) =
   Mat.hs_distance (Circuit.unitary block) (Circuit.unitary result.circuit) < eps
 
-(* --- stage report ------------------------------------------------------- *)
+(* --- stage counters ------------------------------------------------------ *)
 
-(* Structured summary of a batch of per-block synthesis runs, for the
-   pass pipeline's trace sink (lib/epoc). *)
-type stage_report = {
-  block_count : int;
-  synthesized : int; (* blocks where the search beat the direct form *)
-  fallback : int;
-  certified : int; (* fallbacks whose search the oracle skipped *)
-  total_expansions : int;
-  total_prunes : int;
-  max_open : int; (* largest open-set high-water mark over the batch *)
-}
-
-let stage_report (results : block_result list) =
-  List.fold_left
-    (fun r br ->
-      {
-        block_count = r.block_count + 1;
-        synthesized = (r.synthesized + if br.source = Synthesized then 1 else 0);
-        fallback = (r.fallback + if br.source = Fallback then 1 else 0);
-        certified = (r.certified + if br.certified then 1 else 0);
-        total_expansions = r.total_expansions + br.expansions;
-        total_prunes = r.total_prunes + br.prunes;
-        max_open = max r.max_open br.open_max;
-      })
-    { block_count = 0; synthesized = 0; fallback = 0; certified = 0;
-      total_expansions = 0;
-      total_prunes = 0; max_open = 0 }
-    results
-
-let counters (r : stage_report) =
+(* Trace counters of a batch of per-block synthesis runs, for the pass
+   pipeline's trace sink (lib/epoc): blocks, how many the search beat
+   the direct form on, fallbacks, fallbacks whose search the oracle
+   skipped, summed search effort and the largest open-set high-water
+   mark. *)
+let counters (results : block_result list) =
+  let count p = List.length (List.filter p results) in
+  let sum f = List.fold_left (fun acc br -> acc + f br) 0 results in
   [
-    ("blocks", r.block_count);
-    ("synthesized", r.synthesized);
-    ("fallback", r.fallback);
-    ("certified", r.certified);
-    ("expansions", r.total_expansions);
-    ("prunes", r.total_prunes);
-    ("open_max", r.max_open);
+    ("blocks", List.length results);
+    ("synthesized", count (fun br -> br.source = Synthesized));
+    ("fallback", count (fun br -> br.source = Fallback));
+    ("certified", count (fun br -> br.certified));
+    ("expansions", sum (fun br -> br.expansions));
+    ("prunes", sum (fun br -> br.prunes));
+    ("open_max", List.fold_left (fun acc br -> max acc br.open_max) 0 results);
   ]

@@ -77,17 +77,11 @@ val synthesize_block :
 (** Hilbert-Schmidt verification helper for callers and tests. *)
 val verify : eps:float -> Circuit.t -> block_result -> bool
 
-(** {1 Stage report} *)
+(** {1 Stage counters} *)
 
-type stage_report = {
-  block_count : int;
-  synthesized : int;  (** blocks where the search beat the direct form *)
-  fallback : int;
-  certified : int;  (** fallbacks whose search {!min_cnots} skipped *)
-  total_expansions : int;
-  total_prunes : int;
-  max_open : int;  (** largest open-set high-water mark over the batch *)
-}
-
-val stage_report : block_result list -> stage_report
-val counters : stage_report -> (string * int) list
+(** Trace counters of a batch of per-block runs, in this order:
+    [blocks], [synthesized] (the search beat the direct form),
+    [fallback], [certified] (fallbacks whose search {!min_cnots}
+    skipped), summed [expansions] and [prunes], and [open_max], the
+    largest open-set high-water mark. *)
+val counters : block_result list -> (string * int) list

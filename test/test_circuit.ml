@@ -26,6 +26,28 @@ let test_all_gates_unitary () =
         (Mat.is_unitary (Gate.matrix g)))
     all_named_gates
 
+(* [Gate.of_name] inverts [name]/[params] on every named constructor
+   (the table the QASM parser and the synthesis store decode with), and
+   rejects unknown names, wrong parameter counts and [Unitary]. *)
+let test_of_name_roundtrip () =
+  List.iter
+    (fun g ->
+      Alcotest.(check bool)
+        (Gate.to_string g ^ " round-trips")
+        true
+        (Gate.of_name (Gate.name g) (Gate.params g) = Some g))
+    all_named_gates;
+  let rejected name ps =
+    Alcotest.(check bool) (name ^ " rejected") true (Gate.of_name name ps = None)
+  in
+  rejected "nope" [];
+  rejected "rx" [];
+  rejected "x" [ 0.1 ];
+  rejected "u3" [ 0.1; 0.2 ];
+  rejected
+    (Gate.name (Gate.Unitary { name = "vug"; matrix = Mat.identity 2 }))
+    []
+
 let test_dagger_inverts () =
   List.iter
     (fun g ->
@@ -370,6 +392,8 @@ let () =
       ( "gate",
         [
           Alcotest.test_case "all gates unitary" `Quick test_all_gates_unitary;
+          Alcotest.test_case "of_name inverts name/params" `Quick
+            test_of_name_roundtrip;
           Alcotest.test_case "dagger inverts" `Quick test_dagger_inverts;
           Alcotest.test_case "gate identities" `Quick test_gate_identities;
           Alcotest.test_case "ccx truth table" `Quick test_ccx_truth_table;

@@ -378,6 +378,102 @@ let test_empty_trace_json () =
   Alcotest.(check bool) "top_level_s is 0" true
     (Option.bind (J.member "top_level_s" v) J.to_num = Some 0.0)
 
+(* A non-empty trace survives the JSON codec: every event's name (with
+   characters JSON must escape), depth, wall time, counters in recorded
+   order and GC delta re-parse to exactly what [Trace.events] holds. *)
+let test_trace_json_roundtrip () =
+  let t = Trace.create ~gc:true () in
+  let odd = "quote\" back\\slash\nline" in
+  Trace.span t odd (fun () ->
+      Trace.span_with t "inner" (fun () ->
+          ((), [ ("zeta", 3); ("alpha", 1); (odd, 2) ])));
+  Trace.span_with t "second" (fun () -> ((), [ ("n", 7) ]));
+  let v = J.parse_exn (Trace.to_json t) in
+  Alcotest.(check bool) "top_level_s" true
+    (J.member "top_level_s" v = Some (J.Num (Trace.top_level_s t)));
+  let evs = Trace.events t in
+  let jevs = Option.get (Option.bind (J.member "events" v) J.to_list) in
+  Alcotest.(check int) "one JSON event per span" (List.length evs)
+    (List.length jevs);
+  List.iter2
+    (fun (e : Trace.event) j ->
+      let field k = J.member k j in
+      Alcotest.(check (option string)) "name" (Some e.Trace.name)
+        (Option.bind (field "name") J.to_str);
+      Alcotest.(check (option int)) "depth" (Some e.Trace.depth)
+        (Option.bind (field "depth") J.to_int);
+      Alcotest.(check bool) (e.Trace.name ^ ": wall_s") true
+        (field "wall_s" = Some (J.Num (Trace.duration e)));
+      Alcotest.(check bool) (e.Trace.name ^ ": counters in order") true
+        (field "counters"
+        = Some
+            (J.Obj (List.map (fun (k, n) -> (k, J.of_int n)) e.Trace.counters))
+        );
+      let g = Option.get e.Trace.gc in
+      Alcotest.(check bool) (e.Trace.name ^ ": gc delta") true
+        (field "gc"
+        = Some
+            (J.Obj
+               [
+                 ("minor_words", J.Num g.Trace.minor_words);
+                 ("major_words", J.Num g.Trace.major_words);
+                 ("promoted_words", J.Num g.Trace.promoted_words);
+                 ("minor_collections", J.of_int g.Trace.minor_collections);
+                 ("major_collections", J.of_int g.Trace.major_collections);
+               ])))
+    evs jevs
+
+(* [epoc report --json] emits its stages through [Trace.stages_json]:
+   the CLI's array matches an in-process compile's rows key for key,
+   with the run-dependent wall times and GC amounts masked. *)
+let test_report_stages_json () =
+  let cli =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/epoc_cli.exe"
+  in
+  let out = Filename.temp_file "epoc_report" ".json" in
+  let code =
+    Sys.command
+      (Printf.sprintf "%s report bench:bell --json >%s 2>/dev/null" cli
+         (Filename.quote out))
+  in
+  let text = In_channel.with_open_bin out In_channel.input_all in
+  Sys.remove out;
+  Alcotest.(check int) "report exits 0" 0 code;
+  let mask = function
+    | J.Arr rows ->
+        J.Arr
+          (List.map
+             (function
+               | J.Obj fields ->
+                   J.Obj
+                     (List.map
+                        (fun (k, v) ->
+                          match (k, v) with
+                          | "wall_s", _ -> (k, J.Null)
+                          | "gc", J.Obj gc ->
+                              ( k,
+                                J.Obj
+                                  (List.map (fun (gk, _) -> (gk, J.Null)) gc) )
+                          | _ -> (k, v))
+                        fields)
+               | row -> row)
+             rows)
+    | v -> v
+  in
+  let r =
+    Pipeline.compile
+      (Engine.session ~trace:(Trace.create ~gc:true ()) ~name:"bench:bell"
+         (Engine.create ()))
+      (Epoc_benchmarks.Benchmarks.find "bell")
+  in
+  let expected = mask (Trace.stages_json r.Pipeline.trace) in
+  Alcotest.(check bool) "rows carry gc" true
+    (match expected with
+    | J.Arr (J.Obj fields :: _) -> List.mem_assoc "gc" fields
+    | _ -> false);
+  Alcotest.(check bool) "report stages = Trace.stages_json rows" true
+    (Option.map mask (J.member "stages" (J.parse_exn text)) = Some expected)
+
 let test_gc_capture () =
   let t = Trace.create ~gc:true () in
   let _ =
@@ -490,6 +586,9 @@ let () =
       ( "trace",
         [
           Alcotest.test_case "empty trace json" `Quick test_empty_trace_json;
+          Alcotest.test_case "trace json round trip" `Quick
+            test_trace_json_roundtrip;
+          Alcotest.test_case "report stages json" `Quick test_report_stages_json;
           Alcotest.test_case "gc capture" `Quick test_gc_capture;
           Alcotest.test_case "chrome trace shape" `Quick test_chrome_trace_shape;
         ] );

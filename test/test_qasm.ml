@@ -161,8 +161,8 @@ let test_non_finite_parameters () =
   let c = parse (header ^ "qreg q[1];\nrz(1e300) q[0];\n") in
   Alcotest.(check int) "finite angle kept" 1 (Circuit.gate_count c)
 
-(* The CLI turns unreadable input and bad programs into exit 1 with a
-   message on stderr. *)
+(* The CLI turns unreadable input, unwritable output files and bad
+   programs into exit 1 with a message on stderr. *)
 let cli =
   Filename.concat (Filename.dirname Sys.executable_name) "../bin/epoc_cli.exe"
 
@@ -188,7 +188,21 @@ let test_cli_input_errors () =
       Alcotest.(check int) (cmd ^ ": missing file exits 1") 1 code;
       Alcotest.(check bool) (cmd ^ ": message names the file: " ^ msg) true
         (contains ~sub:missing msg))
-    [ "compile"; "report"; "zx" ];
+    [ "compile"; "report"; "zx"; "ir" ];
+  (* an unwritable output file is reported by name and exits 1 *)
+  let unwritable = "/nonexistent-epoc-dir/out.json" in
+  List.iter
+    (fun args ->
+      let label = String.concat " " args in
+      let code, msg = run_cli (args @ [ unwritable ]) in
+      Alcotest.(check int) (label ^ ": unwritable output exits 1") 1 code;
+      Alcotest.(check bool) (label ^ ": message names the file: " ^ msg) true
+        (contains ~sub:unwritable msg))
+    [
+      [ "compile"; "bench:bell"; "--export-ir" ];
+      [ "compile"; "bench:bell"; "--trace-chrome" ];
+      [ "report"; "bench:bell"; "--trace-chrome" ];
+    ];
   let bad = Filename.temp_file "epoc_nonfinite" ".qasm" in
   let oc = open_out_bin bad in
   output_string oc (header ^ "qreg q[1];\nrz(1/0) q[0];\n");

@@ -45,8 +45,9 @@ let load path =
    per-benchmark degraded_blocks/retries; v3 added synth_cache_sweep
    (additive, so a v2 baseline still compares cleanly — the sweep checks
    just skip); v4 added the device_sweep section and per-benchmark
-   ir_roundtrip flags (also additive). *)
-let supported_schema_versions = [ 2; 3; 4 ]
+   ir_roundtrip flags (also additive); v5 added qsearch_searches to each
+   synth_cache_sweep run. *)
+let supported_schema_versions = [ 2; 3; 4; 5 ]
 
 let check_schema path json =
   match Option.bind (J.member "schema_version" json) J.to_int with
@@ -192,8 +193,10 @@ let compare_grape gate base cand =
 
 (* synth_cache_sweep (v3+): a correctness gate on the candidate alone —
    the warm run must replay the cold schedule exactly (identical
-   latency/ESP), hit the store, and never enter QSearch.  Skipped when
-   the candidate predates the section. *)
+   latency/ESP), hit the store, and never enter QSearch.  From v5 the
+   cold run must also have searched (qsearch_searches > 0): a sweep
+   whose cold run never reaches QSearch tests none of this.  Skipped
+   when the candidate predates the section. *)
 let check_synth_sweep gate cand =
   match Option.bind (J.member "synth_cache_sweep" cand) J.to_list with
   | None -> ()
@@ -221,9 +224,16 @@ let check_synth_sweep gate cand =
           (match side "warm" "synth_cache_hits" with
           | Some h when h <= 0.0 -> fail "warm run missed the synthesis cache"
           | _ -> ());
-          match side "warm" "qsearch_expansions" with
-          | Some e when e > 0.0 -> fail "warm run still ran QSearch"
-          | _ -> ())
+          (match side "cold" "qsearch_searches" with
+          | Some n when n <= 0.0 -> fail "cold run never ran QSearch"
+          | _ -> ());
+          (* a search can expand 0 nodes (iswap's does), so v5 files
+             are also judged by their search count *)
+          let positive field =
+            match side "warm" field with Some v -> v > 0.0 | None -> false
+          in
+          if positive "qsearch_expansions" || positive "qsearch_searches" then
+            fail "warm run still ran QSearch")
         rows
 
 let () =
