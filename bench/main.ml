@@ -311,14 +311,14 @@ let graperef () =
       let u = Circuit.unitary c in
       let est = (Latency.estimate ~unitary:u hw c).Latency.est_duration in
       match
-        Latency.find_min_duration
+        Latency.find_min_duration_r
           ~initial_guess:(Latency.guess_slots ~unitary:u hw c) hw u
       with
-      | Some s ->
+      | Ok s ->
           Printf.printf "%-10s %10.1f %10.1f %9.1f%%\n%!" name s.Latency.duration
             est
             (100.0 *. (est -. s.Latency.duration) /. s.Latency.duration)
-      | None -> Printf.printf "%-10s %10s %10.1f\n%!" name "failed" est)
+      | Error _ -> Printf.printf "%-10s %10s %10.1f\n%!" name "failed" est)
     cases
 
 (* --- bechamel micro-benchmarks ------------------------------------------------------ *)
@@ -348,7 +348,7 @@ let micro () =
         Test.make ~name:"grape-x-24slots"
           (Staged.stage (fun () ->
                ignore
-                 (Epoc_qoc.Grape.optimize hw1 ~target:(Gate.matrix Gate.X)
+                 (Epoc_qoc.Grape.optimize_r hw1 ~target:(Gate.matrix Gate.X)
                     ~slots:24)));
         Test.make ~name:"pipeline-simon"
           (Staged.stage (fun () -> ignore (compile_once ~name:"simon" simon)));
@@ -578,8 +578,9 @@ let bench_json () =
   let g0 = Unix.gettimeofday () in
   let grape_iters = ref 0 in
   for _ = 1 to grape_reps do
-    let r = Epoc_qoc.Grape.optimize hw1 ~target:grape_target ~slots:24 in
-    grape_iters := !grape_iters + r.Epoc_qoc.Grape.iterations
+    match Epoc_qoc.Grape.optimize_r hw1 ~target:grape_target ~slots:24 with
+    | Ok r -> grape_iters := !grape_iters + r.Epoc_qoc.Grape.iterations
+    | Error e -> failwith (Epoc_error.to_string e)
   done;
   let grape_s = Unix.gettimeofday () -. g0 in
   let batch_width = 20 in
@@ -714,8 +715,7 @@ let bench_json () =
               ( "gauge_iters_per_s",
                 J.Num
                   (Option.value ~default:0.0
-                     (Epoc_obs.Metrics.gauge_value bench_metrics
-                        "grape.iters_per_s")) );
+                     (Epoc_qoc.Grape.iters_per_s bench_metrics)) );
             ] );
         ("total_wall_s", J.Num total_s);
       ]

@@ -163,15 +163,6 @@ let device_arg =
        & info [ "device" ] ~docv:"NAME|FILE"
            ~env:(Cmd.Env.info "EPOC_DEVICE") ~doc)
 
-(* Resolve a --device spec against [registry]; [Ok None] when no device
-   was requested (the legacy chain model). *)
-let resolve_device registry = function
-  | None -> Ok None
-  | Some spec -> (
-      match Epoc_device.Device.Registry.resolve registry spec with
-      | Ok d -> Ok (Some d)
-      | Error m -> Error m)
-
 let export_ir_arg =
   let doc =
     "Write the compiled schedule as portable pulse-IR JSON (waveforms, \
@@ -252,41 +243,87 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let config_of ~grape ~no_zx ~no_synth ~no_regroup ~width ~cache_dir
-    ~synth_cache_dir ~similarity_order ~deadline ~block_deadline ~retries
-    ~fault =
-  let base = Epoc.Config.default in
-  {
-    base with
-    Epoc.Config.qoc_mode =
-      (if grape then Epoc.Config.Grape else Epoc.Config.Estimate);
-    use_zx = not no_zx;
-    use_synthesis = not no_synth;
-    regroup = not no_regroup;
-    partition =
+(* The run config of compile, report and serve, built from their shared
+   flags, with --device resolved against the device zoo and applied;
+   [Error] carries the device error, which the subcommand reports after
+   its own input checks. *)
+let config_term =
+  let make grape no_zx no_synth no_regroup width cache_dir synth_cache_dir
+      similarity_order deadline block_deadline retries fault device =
+    let base = Epoc.Config.default in
+    let config =
       {
-        base.Epoc.Config.partition with
-        Epoc_partition.Partition.qubit_limit = width;
-      };
-    cache_dir;
-    synth_cache_dir;
-    similarity_order;
-    total_deadline = deadline;
-    block_deadline;
-    max_retries = retries;
-    fault;
-  }
+        base with
+        Epoc.Config.qoc_mode =
+          (if grape then Epoc.Config.Grape else Epoc.Config.Estimate);
+        use_zx = not no_zx;
+        use_synthesis = not no_synth;
+        regroup = not no_regroup;
+        partition =
+          {
+            base.Epoc.Config.partition with
+            Epoc_partition.Partition.qubit_limit = width;
+          };
+        cache_dir;
+        synth_cache_dir;
+        similarity_order;
+        total_deadline = deadline;
+        block_deadline;
+        max_retries = retries;
+        fault;
+      }
+    in
+    match device with
+    | None -> Ok config
+    | Some spec ->
+        Result.map
+          (fun d -> Epoc.Config.with_device d config)
+          (Epoc_device.Device.Registry.resolve
+             (Epoc_device.Device.Registry.create ())
+             spec)
+  in
+  Term.(
+    const make $ grape_arg $ no_zx $ no_synthesis $ no_regroup
+    $ partition_width $ cache_arg $ synth_cache_arg $ similarity_order_arg
+    $ deadline_arg $ block_deadline_arg $ retries_arg $ fault_arg $ device_arg)
 
-let run_flow_named flow ~engine ~config ~trace ~metrics ~name circuit =
-  let session = Epoc.Engine.session ~config ~trace ~metrics ~name engine in
-  match flow with
-  | "epoc" -> Epoc.Pipeline.compile session circuit
-  | "paqoc" -> Epoc.Baselines.compile_paqoc_like session circuit
-  | "accqoc" -> Epoc.Baselines.compile_accqoc_like session circuit
-  | "gate" -> Epoc.Baselines.compile_gate_based session circuit
-  | other ->
-      Printf.eprintf "unknown flow %S\n" other;
-      exit 1
+(* The circuit, run config and flow of one compile, or the message to
+   exit 1 with; errors are reported in that order. *)
+let prepare spec config flow =
+  match load spec with
+  | Error _ as e -> e
+  | Ok circuit -> (
+      match config with
+      | Error m -> Error ("error: " ^ m)
+      | Ok config ->
+          Result.map (fun flow -> (circuit, config, flow))
+            (Epoc.Baselines.find flow))
+
+(* Compile [circuit] through [flow] on a fresh engine, tracing into
+   [trace]. *)
+let compile_one ~trace ~name config flow circuit =
+  let engine = Epoc.Engine.create ~config () in
+  ( engine,
+    Epoc.Baselines.compile flow
+      (Epoc.Engine.session ~config ~trace ~name engine)
+      circuit )
+
+(* Print a command's stdout output through [print] and flush it.  A
+   failed write (stdout closed, or its device full) is an output error
+   like an unwritable file: a message and [false], so the command exits
+   1.  The channel is then closed, which keeps the exit-time flush
+   quiet. *)
+let print_stdout print =
+  match
+    print ();
+    Format.print_flush ();
+    flush stdout
+  with
+  | () -> true
+  | exception Sys_error m ->
+      Printf.eprintf "error: cannot write to stdout: %s\n" m;
+      close_out_noerr stdout;
+      false
 
 let report (r : Epoc.Pipeline.result) show =
   Printf.printf "flow             : %s\n" r.Epoc.Pipeline.name;
@@ -326,66 +363,45 @@ let report (r : Epoc.Pipeline.result) show =
   if show then Format.printf "@.%a@." Epoc_pulse.Schedule.pp r.Epoc.Pipeline.schedule
 
 let compile_cmd =
-  let run spec flow device_spec export_ir grape no_zx no_synth no_regroup
-      width cache_dir synth_cache_dir similarity_order deadline block_deadline
-      retries strict fault verbosity schedule trace trace_json gc chrome =
+  let run spec flow config export_ir strict verbosity schedule trace trace_json
+      gc chrome =
     setup_logs verbosity;
-    match load spec with
+    match prepare spec config flow with
     | Error m ->
         prerr_endline m;
         1
-    | Ok circuit ->
-        let config =
-          config_of ~grape ~no_zx ~no_synth ~no_regroup ~width ~cache_dir
-            ~synth_cache_dir ~similarity_order ~deadline ~block_deadline
-            ~retries ~fault
+    | Ok (circuit, config, flow) ->
+        let _, result =
+          compile_one ~trace:(T.create ~gc ()) ~name:spec config flow circuit
         in
-        let sink = T.create ~gc () in
-        let metrics = M.create () in
-        let engine = Epoc.Engine.create ~config () in
-        (match resolve_device (Epoc.Engine.devices engine) device_spec with
-        | Error m ->
-            Printf.eprintf "error: %s\n" m;
-            1
-        | Ok device ->
-            let config =
-              match device with
-              | None -> config
-              | Some d -> Epoc.Config.with_device d config
-            in
-            let result =
-              run_flow_named flow ~engine ~config ~trace:sink ~metrics
-                ~name:spec circuit
-            in
-            let chrome_ok =
-              write_output ~what:"chrome trace" chrome (fun () ->
-                  T.to_chrome_json result.Epoc.Pipeline.trace)
-            in
-            let ir_ok =
-              write_output ~what:"pulse IR" export_ir (fun () ->
-                  Epoc_pulseir.Pulseir.to_string
-                    (Epoc_pulseir.Pulseir.export ?device ~name:spec
-                       result.Epoc.Pipeline.schedule))
-            in
-            if not (chrome_ok && ir_ok) then 1
-            else begin
-              if trace_json then
-                print_endline (T.to_json result.Epoc.Pipeline.trace)
-              else begin
-                report result schedule;
-                if trace then
-                  Format.printf "@.%a@." T.pp result.Epoc.Pipeline.trace
-              end;
-              exit_status ~strict result
-            end)
+        let chrome_ok =
+          write_output ~what:"chrome trace" chrome (fun () ->
+              T.to_chrome_json result.Epoc.Pipeline.trace)
+        in
+        let ir_ok =
+          write_output ~what:"pulse IR" export_ir (fun () ->
+              Epoc_pulseir.Pulseir.to_string
+                (Epoc_pulseir.Pulseir.export ?device:config.Epoc.Config.device
+                   ~name:spec result.Epoc.Pipeline.schedule))
+        in
+        if
+          chrome_ok && ir_ok
+          && print_stdout (fun () ->
+                 if trace_json then
+                   print_endline (T.to_json result.Epoc.Pipeline.trace)
+                 else begin
+                   report result schedule;
+                   if trace then
+                     Format.printf "@.%a@." T.pp result.Epoc.Pipeline.trace
+                 end)
+        then exit_status ~strict result
+        else 1
   in
   let term =
     Term.(
-      const run $ circuit_arg $ flow_arg $ device_arg $ export_ir_arg
-      $ grape_arg $ no_zx $ no_synthesis $ no_regroup $ partition_width
-      $ cache_arg $ synth_cache_arg $ similarity_order_arg $ deadline_arg
-      $ block_deadline_arg $ retries_arg $ strict_arg $ fault_arg $ verbose
-      $ show_schedule $ show_trace $ show_trace_json $ trace_gc $ trace_chrome)
+      const run $ circuit_arg $ flow_arg $ config_term $ export_ir_arg
+      $ strict_arg $ verbose $ show_schedule $ show_trace $ show_trace_json
+      $ trace_gc $ trace_chrome)
   in
   Cmd.v (Cmd.info "compile" ~doc:"Compile a circuit to a pulse schedule.") term
 
@@ -454,13 +470,13 @@ let report_text (r : Epoc.Pipeline.result) metrics ~process =
     (pp_hist_row "grape.final_infidelity")
     (M.hist_value metrics "grape.final_infidelity");
   (* batched-solver telemetry: group widths are per-run (deterministic),
-     throughput is process-global (wall clock) *)
+     throughput comes from the engine's solver totals (wall clock) *)
   Option.iter
     (pp_hist_row "grape.batch_size")
     (M.hist_value metrics "grape.batch_size");
   Option.iter
     (fun v -> Printf.printf "  GRAPE throughput: %.0f iters/s (batched)\n" v)
-    (M.gauge_value process "grape.iters_per_s");
+    (Epoc_qoc.Grape.iters_per_s process);
   (* searched = blocks that ran QSearch; certified = blocks whose search
      the CNOT-count oracle skipped (the direct form is optimal) *)
   Printf.printf
@@ -500,57 +516,37 @@ let report_text (r : Epoc.Pipeline.result) metrics ~process =
   dump "metrics (engine)" process
 
 let report_cmd =
-  let run spec flow device_spec grape no_zx no_synth no_regroup width
-      cache_dir synth_cache_dir similarity_order deadline block_deadline
-      retries strict fault verbosity json prometheus chrome =
+  let run spec flow config strict verbosity json prometheus chrome =
     setup_logs verbosity;
-    match load spec with
+    match prepare spec config flow with
     | Error m ->
         prerr_endline m;
         1
-    | Ok circuit ->
-        let config =
-          config_of ~grape ~no_zx ~no_synth ~no_regroup ~width ~cache_dir
-            ~synth_cache_dir ~similarity_order ~deadline ~block_deadline
-            ~retries ~fault
+    | Ok (circuit, config, flow) ->
+        let engine, result =
+          compile_one ~trace:(T.create ~gc:true ()) ~name:spec config flow
+            circuit
         in
-        let sink = T.create ~gc:true () in
-        let metrics = M.create () in
-        let engine = Epoc.Engine.create ~config () in
+        let metrics = result.Epoc.Pipeline.metrics in
         let process = Epoc.Engine.metrics engine in
-        (match resolve_device (Epoc.Engine.devices engine) device_spec with
-        | Error m ->
-            Printf.eprintf "error: %s\n" m;
-            1
-        | Ok device ->
-            let config =
-              match device with
-              | None -> config
-              | Some d -> Epoc.Config.with_device d config
-            in
-            let result =
-              run_flow_named flow ~engine ~config ~trace:sink ~metrics
-                ~name:spec circuit
-            in
-            if
-              not
-                (write_output ~what:"chrome trace" chrome (fun () ->
-                     T.to_chrome_json result.Epoc.Pipeline.trace))
-            then 1
-            else begin
-              if prometheus then
-                (* same exposition shape as the daemon's {"cmd":"prometheus"}:
-                   engine registry under epoc_, per-run values under epoc_run_ *)
-                print_string
-                  (M.to_prometheus ~prefix:"epoc_" process
-                  ^ M.to_prometheus ~prefix:"epoc_run_" metrics)
-              else if json then
-                print_endline
-                  (J.to_string ~indent:true
-                     (report_json result metrics ~process))
-              else report_text result metrics ~process;
-              exit_status ~strict result
-            end)
+        if
+          write_output ~what:"chrome trace" chrome (fun () ->
+              T.to_chrome_json result.Epoc.Pipeline.trace)
+          && print_stdout (fun () ->
+                 if prometheus then
+                   (* same exposition shape as the daemon's
+                      {"cmd":"prometheus"}: engine registry under epoc_,
+                      per-run values under epoc_run_ *)
+                   print_string
+                     (M.to_prometheus ~prefix:"epoc_" process
+                     ^ M.to_prometheus ~prefix:"epoc_run_" metrics)
+                 else if json then
+                   print_endline
+                     (J.to_string ~indent:true
+                        (report_json result metrics ~process))
+                 else report_text result metrics ~process)
+        then exit_status ~strict result
+        else 1
   in
   let json_flag =
     Arg.(value & flag & info [ "json" ] ~doc:"Emit the report as JSON.")
@@ -566,10 +562,7 @@ let report_cmd =
   in
   let term =
     Term.(
-      const run $ circuit_arg $ flow_arg $ device_arg $ grape_arg $ no_zx
-      $ no_synthesis $ no_regroup $ partition_width $ cache_arg
-      $ synth_cache_arg $ similarity_order_arg $ deadline_arg
-      $ block_deadline_arg $ retries_arg $ strict_arg $ fault_arg $ verbose
+      const run $ circuit_arg $ flow_arg $ config_term $ strict_arg $ verbose
       $ json_flag $ prometheus_flag $ trace_chrome)
   in
   Cmd.v
@@ -612,42 +605,31 @@ let slow_trace_arg =
     & info [ "slow-trace" ] ~docv:"SEC" ~doc)
 
 let serve_cmd =
-  let run socket workers flight slow_trace device_spec grape no_zx no_synth
-      no_regroup width cache_dir synth_cache_dir similarity_order deadline
-      block_deadline retries fault verbosity =
+  let run socket workers flight slow_trace config verbosity =
     setup_logs verbosity;
-    let config =
-      config_of ~grape ~no_zx ~no_synth ~no_regroup ~width ~cache_dir
-        ~synth_cache_dir ~similarity_order ~deadline ~block_deadline ~retries
-        ~fault
-    in
-    let config =
-      {
-        config with
-        Epoc.Config.flight_capacity = max 1 flight;
-        slow_trace_s = slow_trace;
-      }
-    in
-    (* daemon-wide default device; jobs can override per request with
-       {"device": ...}, resolved against the engine's registry *)
-    match resolve_device (Epoc_device.Device.Registry.create ()) device_spec with
+    match config with
     | Error m ->
         Printf.eprintf "error: %s\n" m;
         1
-    | Ok device ->
-        let config =
-          match device with
-          | None -> config
-          | Some d -> Epoc.Config.with_device d config
-        in
-        Epoc_serve.Server.run { Epoc_serve.Server.socket; workers; config }
+    | Ok config ->
+        (* the --device default applies to every job; jobs can override
+           it per request with {"device": ...} *)
+        Epoc_serve.Server.run
+          {
+            Epoc_serve.Server.socket;
+            workers;
+            config =
+              {
+                config with
+                Epoc.Config.flight_capacity = max 1 flight;
+                slow_trace_s = slow_trace;
+              };
+          }
   in
   let term =
     Term.(
       const run $ socket_arg $ workers_arg $ flight_arg $ slow_trace_arg
-      $ device_arg $ grape_arg $ no_zx $ no_synthesis $ no_regroup
-      $ partition_width $ cache_arg $ synth_cache_arg $ similarity_order_arg
-      $ deadline_arg $ block_deadline_arg $ retries_arg $ fault_arg $ verbose)
+      $ config_term $ verbose)
   in
   Cmd.v
     (Cmd.info "serve"
@@ -940,10 +922,13 @@ let () =
     Cmd.info "epoc" ~version:"1.0.0"
       ~doc:"EPOC: efficient pulse generation with advanced synthesis"
   in
-  exit
-    (Cmd.eval'
-       (Cmd.group info
-          [
-            compile_cmd; report_cmd; serve_cmd; top_cmd; list_cmd;
-            devices_cmd; ir_cmd; zx_cmd;
-          ]))
+  let code =
+    Cmd.eval'
+      (Cmd.group info
+         [
+           compile_cmd; report_cmd; serve_cmd; top_cmd; list_cmd; devices_cmd;
+           ir_cmd; zx_cmd;
+         ])
+  in
+  (* output still buffered (list, devices, ir, zx) is written here *)
+  exit (if print_stdout ignore then code else 1)

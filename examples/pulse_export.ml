@@ -16,9 +16,9 @@ let () =
     Latency.guess_slots ~unitary:target hw
       (Circuit.of_ops 2 [ { Circuit.gate = Gate.CX; qubits = [ 0; 1 ] } ])
   in
-  match Latency.find_min_duration ~initial_guess:guess hw target with
-  | None -> prerr_endline "duration search failed"
-  | Some s ->
+  match Latency.find_min_duration_r ~initial_guess:guess hw target with
+  | Error e -> prerr_endline ("duration search failed: " ^ Epoc_error.to_string e)
+  | Ok s ->
       Printf.printf "minimum duration: %.1f ns at fidelity %.5f (%d GRAPE runs)\n"
         s.Latency.duration s.Latency.fidelity s.Latency.grape_runs;
       let csv = Grape.pulse_to_csv s.Latency.result.Grape.pulse in

@@ -10,18 +10,48 @@
    - [accqoc_like]: AccQOC (Cheng et al., ISCA'20) reimplemented from its
      description — uniform two-qubit sub-circuits of bounded depth, QOC per
      sub-circuit with a pulse library; no ZX, no synthesis, and
-     phase-*sensitive* library matching.  (AccQOC's MST-ordered library
-     construction only affects compile time, which we account for by
-     constructing the library in similarity order.)  Runs the EPOC pass
-     list under a restricted config.
+     phase-*sensitive* library matching.  AccQOC's MST-ordered library
+     construction only affects compile time, not the schedule, so the
+     flow leaves it out; the similarity-ordered warm starts it motivates
+     are the separate [Config.similarity_order] switch, off here as
+     everywhere by default.  Runs the EPOC pass list under a restricted
+     config.
    - [paqoc_like]: PAQOC (Chen et al., HPCA'23) approximated as
      program-aware grouping: frequent two-qubit gate patterns are mined
      and pre-compiled into the pulse library, then the program is grouped
-     with a larger per-block budget.  No ZX, no synthesis. *)
+     with a larger per-block budget.  No ZX, no synthesis.
+
+   Each flow is a [named] value — an optional config transform over a
+   pass flow — and [find] maps the names the CLI's --flow and the serve
+   protocol's "flow" field accept onto them. *)
 
 open Epoc_circuit
 open Epoc_partition
 open Epoc_pulse
+
+(* A named flow: the config it compiles under, derived from the caller's
+   ([None] = the caller's config as is), and the pass flow. *)
+type named = {
+  configure : (Config.t -> Circuit.t -> Config.t) option;
+  flow : Pipeline.flow;
+}
+
+(* The config [named] compiles [circuit] under, given the caller's. *)
+let config_for named config circuit =
+  match named.configure with None -> config | Some f -> f config circuit
+
+(* Compile [circuit] through [named] in [session]; a config transform
+   applies through [Engine.with_config], which re-derives the library,
+   budget and fault spec for the new config. *)
+let compile named (session : Engine.session) circuit =
+  let session =
+    match named.configure with
+    | None -> session
+    | Some f -> Engine.with_config (f session.config circuit) session
+  in
+  Pipeline.compile_flow session named.flow circuit
+
+let epoc = { configure = None; flow = Pipeline.epoc_flow }
 
 (* --- gate-based ----------------------------------------------------------- *)
 
@@ -46,7 +76,7 @@ let gate_pulses_pass =
     ~counters:(fun _ (ir : Ir.t) ->
       [ ("instructions", List.length ir.Ir.instructions) ])
     (fun ctx ir ->
-      let hw = ctx.Pass.hardware (max 2 ir.Ir.n) in
+      let hw = Engine.hardware_for ctx.Pass.engine ctx.config (max 2 ir.Ir.n) in
       let instructions =
         List.filter_map
           (fun (op : Circuit.op) ->
@@ -83,10 +113,10 @@ let gate_flow =
         [ lower_pass; gate_pulses_pass; schedule_instructions_pass ]);
   }
 
-(* Session entry point: the baseline is just the shared driver over
-   [gate_flow], under the session's own config. *)
-let compile_gate_based session (circuit : Circuit.t) =
-  Pipeline.compile_flow session gate_flow circuit
+(* The baseline is just the shared driver over [gate_flow], under the
+   session's own config. *)
+let gate_based = { configure = None; flow = gate_flow }
+let compile_gate_based session circuit = compile gate_based session circuit
 
 (* --- AccQOC-like ------------------------------------------------------------ *)
 
@@ -104,14 +134,12 @@ let accqoc_config (base : Config.t) =
     match_global_phase = false;
   }
 
-(* Session entry point: the caller's session under the AccQOC config
-   transform ([Engine.with_config] re-derives the library, budget and
-   fault spec for the restricted config). *)
-let compile_accqoc_like session circuit =
-  let session =
-    Engine.with_config (accqoc_config (Engine.session_config session)) session
-  in
-  Pipeline.compile session circuit
+(* The EPOC pass list under the AccQOC config transform. *)
+let accqoc_like =
+  { configure = Some (fun config _ -> accqoc_config config);
+    flow = Pipeline.epoc_flow }
+
+let compile_accqoc_like session circuit = compile accqoc_like session circuit
 
 (* --- PAQOC-like -------------------------------------------------------------- *)
 
@@ -161,7 +189,23 @@ let paqoc_config_for config circuit =
                regroup_partition = { Partition.qubit_limit = 2; op_limit = 8 } }
   else cfg
 
-(* Session entry point. *)
-let compile_paqoc_like session circuit =
-  let cfg = paqoc_config_for (Engine.session_config session) circuit in
-  Pipeline.compile (Engine.with_config cfg session) circuit
+let paqoc_like =
+  { configure = Some paqoc_config_for; flow = Pipeline.epoc_flow }
+let compile_paqoc_like session circuit = compile paqoc_like session circuit
+
+(* --- lookup by name --------------------------------------------------------- *)
+
+(* The flows by the names the CLI's --flow and the serve protocol's
+   "flow" field accept. *)
+let flows =
+  [
+    ("epoc", epoc);
+    ("gate", gate_based);
+    ("accqoc", accqoc_like);
+    ("paqoc", paqoc_like);
+  ]
+
+let find name =
+  match List.assoc_opt name flows with
+  | Some named -> Ok named
+  | None -> Error (Printf.sprintf "unknown flow %S" name)

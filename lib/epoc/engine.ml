@@ -135,28 +135,29 @@ let flush t =
 
 (* --- sessions ------------------------------------------------------------ *)
 
-(* Everything request-scoped.  [s_library] is the engine's shared
-   library by default; passing a private one isolates the request (the
-   serve daemon does this so each job resolves exactly like a one-shot
-   run, with cross-request reuse flowing through the engine store) and
-   the caller decides whether to absorb it back.  [s_pool], [s_cache]
-   and [s_synth] are views of the engine's resources unless the session
-   was opened with overrides (one-shot callers with a private pool or
-   store use these). *)
+(* Everything request-scoped, in the one record the passes read
+   ([Pass.ctx] re-exports it).  [library] is the engine's shared library
+   by default; passing a private one isolates the request (the serve
+   daemon does this so each job resolves exactly like a one-shot run,
+   with cross-request reuse flowing through the engine store) and the
+   caller decides whether to absorb it back.  [pool], [cache] and
+   [synth] are the engine's resources unless the session was opened with
+   overrides (one-shot callers with a private pool or store use these).
+   [explicit_library] remembers the caller's library for [with_config]. *)
 type session = {
-  s_engine : t;
-  s_config : Config.t;
-  s_name : string;
-  s_request_id : string; (* stable identity of this request *)
-  s_library : Library.t;
-  s_explicit_library : Library.t option; (* as passed by the caller *)
-  s_pool : Pool.t;
-  s_cache : Store.t option;
-  s_synth : Synth_store.t option;
-  s_trace : Trace.t;
-  s_metrics : Metrics.t; (* per-run registry: deterministic values only *)
-  s_budget : Epoc_budget.t;
-  s_fault : Epoc_fault.spec option;
+  engine : t;
+  config : Config.t;
+  name : string;
+  request_id : string; (* stable identity of this request *)
+  library : Library.t;
+  pool : Pool.t;
+  cache : Store.t option;
+  synth : Synth_store.t option;
+  trace : Trace.t;
+  metrics : Metrics.t; (* per-run registry: deterministic values only *)
+  budget : Epoc_budget.t;
+  fault : Epoc_fault.spec option;
+  explicit_library : Library.t option; (* as passed by the caller *)
 }
 
 (* The session library for [config]: the caller's, or the engine's when
@@ -168,7 +169,7 @@ type session = {
    model — a device block's pulse priced on a different coupling
    subgraph must never leak into them (within the run, entries are
    additionally tagged with the block's coupling context). *)
-let library_for t (config : Config.t) = function
+let library_for (t : t) (config : Config.t) = function
   | Some l -> l
   | None ->
       if config.Config.device <> None then
@@ -179,25 +180,26 @@ let library_for t (config : Config.t) = function
       then t.library
       else Library.create ~match_global_phase:config.Config.match_global_phase ()
 
+let run_budget (config : Config.t) =
+  Epoc_budget.sub ?seconds:config.Config.total_deadline Epoc_budget.unlimited
+
 let session ?(config = Config.default) ?request_id ?library ?pool ?cache
-    ?synth ?trace ?metrics ~name t =
+    ?synth ?trace ?metrics ~name (t : t) =
   {
-    s_engine = t;
-    s_config = config;
-    s_name = name;
-    s_request_id =
+    engine = t;
+    config;
+    name;
+    request_id =
       (match request_id with Some id -> id | None -> next_request_id t);
-    s_library = library_for t config library;
-    s_explicit_library = library;
-    s_pool = (match pool with Some p -> p | None -> t.pool);
-    s_cache = (match cache with Some _ as c -> c | None -> t.cache);
-    s_synth = (match synth with Some _ as s -> s | None -> t.synth);
-    s_trace = (match trace with Some tr -> tr | None -> Trace.create ());
-    s_metrics = (match metrics with Some m -> m | None -> Metrics.create ());
-    s_budget =
-      Epoc_budget.sub ?seconds:config.Config.total_deadline
-        Epoc_budget.unlimited;
-    s_fault = config.Config.fault;
+    library = library_for t config library;
+    pool = (match pool with Some p -> p | None -> t.pool);
+    cache = (match cache with Some _ as c -> c | None -> t.cache);
+    synth = (match synth with Some _ as s -> s | None -> t.synth);
+    trace = (match trace with Some tr -> tr | None -> Trace.create ());
+    metrics = (match metrics with Some m -> m | None -> Metrics.create ());
+    budget = run_budget config;
+    fault = config.Config.fault;
+    explicit_library = library;
   }
 
 (* The same session under a different config: identity (engine, name,
@@ -207,23 +209,8 @@ let session ?(config = Config.default) ?request_id ?library ?pool ?cache
 let with_config config s =
   {
     s with
-    s_config = config;
-    s_library = library_for s.s_engine config s.s_explicit_library;
-    s_budget =
-      Epoc_budget.sub ?seconds:config.Config.total_deadline
-        Epoc_budget.unlimited;
-    s_fault = config.Config.fault;
+    config;
+    library = library_for s.engine config s.explicit_library;
+    budget = run_budget config;
+    fault = config.Config.fault;
   }
-
-let session_engine s = s.s_engine
-let session_config s = s.s_config
-let session_name s = s.s_name
-let session_request_id s = s.s_request_id
-let session_library s = s.s_library
-let session_pool s = s.s_pool
-let session_cache s = s.s_cache
-let session_synth s = s.s_synth
-let session_trace s = s.s_trace
-let session_metrics s = s.s_metrics
-let session_budget s = s.s_budget
-let session_fault s = s.s_fault

@@ -93,23 +93,53 @@ val flush : t -> unit
 
 (** {1 Sessions} *)
 
-(** A request-scoped compilation context: config, trace sink, per-run
-    metrics registry, compute budget, fault spec and the library handle
-    the run resolves against. *)
-type session
+(** One compile request: everything a run reads, in one record.  The
+    pass manager sees it as {!Pass.ctx}; build one with {!session}. *)
+type session = {
+  engine : t;  (** the owning engine: hardware memo, engine registry *)
+  config : Config.t;
+  name : string;
+  request_id : string;
+      (** stable identity of the request; every trace span, metric,
+          retry, degradation and cache outcome of the run is
+          attributable to it *)
+  library : Library.t;
+      (** the engine's shared library, or a private one (see
+          {!session}); forked per candidate by the pipeline *)
+  pool : Pool.t;  (** the engine's, unless overridden *)
+  cache : Epoc_cache.Store.t option;
+      (** persistent pulse store: the engine's, unless overridden *)
+  synth : Epoc_cache.Synth_store.t option;
+      (** persistent synthesis store, consulted before QSearch runs and
+          recorded into at pipeline end: the engine's, unless
+          overridden *)
+  trace : Trace.t;  (** wall-clock spans and stage counters *)
+  metrics : Metrics.t;
+      (** per-run registry: deterministic values only.  Wall-clock and
+          infrastructure values go to the engine registry
+          ({!metrics}[ engine]) *)
+  budget : Epoc_budget.t;
+      (** run-level deadline from [config.total_deadline] (unlimited
+          when unset), started when the session was opened; block
+          solves derive per-attempt children capped by it *)
+  fault : Epoc_fault.spec option;
+      (** deterministic fault injection, from [config.fault] *)
+  explicit_library : Library.t option;
+      (** the library the caller passed, kept so {!with_config} never
+          replaces it *)
+}
 
-(** [session ~name t] opens a session on [t].  The session's request id
-    is drawn from the engine ({!next_request_id}) unless [request_id]
-    supplies one; it is the stable identity every trace span, metric
-    registry, retry/degradation event and cache outcome of this run is
-    attributable to.  The session library is the engine's shared
-    library unless [library] supplies a private one (the serve daemon
-    isolates each job this way so it resolves exactly like a one-shot
-    run, with cross-request reuse flowing through the engine store).
-    [pool], [cache] and [synth] override the engine's resources for
-    this session only.  [trace] and [metrics] default to
-    fresh sinks; the budget derives from [config.total_deadline] and
-    the fault spec from [config.fault]. *)
+(** [session ~name t] opens a session on [t].  The request id is drawn
+    from the engine ({!next_request_id}) unless [request_id] supplies
+    one.  The library is the engine's shared library unless [library]
+    supplies a private one (the serve daemon isolates each job this way
+    so it resolves exactly like a one-shot run, with cross-request reuse
+    flowing through the engine store); a config whose phase convention
+    disagrees with the engine library, or that targets a device, gets a
+    fresh private library.  [pool], [cache] and [synth] override the
+    engine's resources for this session only.  [trace] and [metrics]
+    default to fresh sinks; the budget derives from
+    [config.total_deadline] and the fault spec from [config.fault]. *)
 val session :
   ?config:Config.t ->
   ?request_id:string ->
@@ -129,29 +159,3 @@ val session :
     passed library is kept).  The baselines use this to apply their
     config transforms to a caller's session. *)
 val with_config : Config.t -> session -> session
-
-val session_engine : session -> t
-
-val session_config : session -> Config.t
-
-val session_name : session -> string
-
-val session_request_id : session -> string
-
-val session_library : session -> Library.t
-
-(** The pool, pulse store and synthesis store this session compiles
-    with: the engine's, unless the session was opened with overrides. *)
-val session_pool : session -> Pool.t
-
-val session_cache : session -> Epoc_cache.Store.t option
-
-val session_synth : session -> Epoc_cache.Synth_store.t option
-
-val session_trace : session -> Trace.t
-
-val session_metrics : session -> Metrics.t
-
-val session_budget : session -> Epoc_budget.t
-
-val session_fault : session -> Epoc_fault.spec option

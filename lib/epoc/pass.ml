@@ -2,76 +2,38 @@
    in order over an [Ir.t], every pass wrapped in a [Trace] span that
    records its wall-clock window and stage counters.
 
-   A pass sees a [ctx]: a flattened view of one [Engine.session] — the
-   per-run values (config, library handle, trace sink, per-run metrics,
-   budget, fault spec) next to views of the owning engine's shared state
-   (pool, persistent store, hardware memo, engine registry).  Passes
-   must obey the pipeline's determinism contract: identical output for
-   any pool size (see lib/epoc/pipeline.ml). *)
+   A pass sees the run's [Engine.session] as its [ctx]: the per-run
+   values (config, library handle, trace sink, per-run metrics, budget,
+   fault spec) next to the owning engine, through which it reaches the
+   shared state (hardware memo, engine registry).  Passes must obey the
+   pipeline's determinism contract: identical output for any pool size
+   (see lib/epoc/pipeline.ml). *)
 
 open Epoc_parallel
 open Epoc_pulse
-open Epoc_qoc
 module Metrics = Epoc_obs.Metrics
 
-type ctx = {
+type ctx = Engine.session = {
+  engine : Engine.t;
   config : Config.t;
+  name : string;
   request_id : string;
-      (* stable identity of the request this run serves; every span,
-         metric, retry and degradation of the run is attributable to it *)
-  pool : Pool.t; (* engine-owned *)
-  library : Library.t; (* session handle; forked per candidate *)
-  cache : Epoc_cache.Store.t option; (* engine-owned persistent pulse store *)
+  library : Library.t;
+  pool : Pool.t;
+  cache : Epoc_cache.Store.t option;
   synth : Epoc_cache.Synth_store.t option;
-      (* engine-owned persistent synthesis store; consulted before
-         QSearch, recorded into at pipeline end *)
   trace : Trace.t;
-  metrics : Metrics.t; (* per-run registry (lib/obs), deterministic values *)
-  process : Metrics.t;
-      (* the engine registry: wall-clock gauges and other infrastructure
-         values that must stay out of the per-run registry *)
-  hardware : int -> Hardware.t;
-      (* width-keyed engine memo per (dt, t_coherence, k): the default
-         chain model, used for reference gate times *)
-  hardware_block : int list -> Hardware.t;
-      (* block-keyed model on the configured device's coupling subgraph
-         (global qubit indices); identical to [hardware (length qs)]
-         when no device is configured *)
+  metrics : Metrics.t;
   budget : Epoc_budget.t;
-      (* run-level deadline from [config.total_deadline]; block solves
-         derive per-attempt children capped by it *)
   fault : Epoc_fault.spec option;
-      (* deterministic fault injection from [config.fault]; off = None *)
+  explicit_library : Library.t option;
 }
 
-(* The ctx of a session: per-run values from the session, shared state
-   from its engine. *)
-let of_session (s : Engine.session) =
-  let engine = Engine.session_engine s in
-  let config = Engine.session_config s in
-  {
-    config;
-    request_id = Engine.session_request_id s;
-    pool = Engine.session_pool s;
-    library = Engine.session_library s;
-    cache = Engine.session_cache s;
-    synth = Engine.session_synth s;
-    trace = Engine.session_trace s;
-    metrics = Engine.session_metrics s;
-    process = Engine.metrics engine;
-    hardware = (fun k -> Engine.hardware_for engine config k);
-    hardware_block = (fun qs -> Engine.hardware_for_block engine config qs);
-    budget = Engine.session_budget s;
-    fault = Engine.session_fault s;
-  }
-
-(* A ctx with private trace and metrics shards, for candidate fan-out:
+(* The ctx with private trace and metrics shards, for candidate fan-out:
    the caller absorbs both after the parallel region, in candidate
    order. *)
-let fork_ctx ctx =
-  let trace = Trace.fork ctx.trace in
-  let metrics = Metrics.fork ctx.metrics in
-  ({ ctx with trace; metrics }, trace, metrics)
+let fork ctx =
+  { ctx with trace = Trace.fork ctx.trace; metrics = Metrics.fork ctx.metrics }
 
 module type PASS = sig
   val name : string

@@ -7,60 +7,31 @@
 
 open Epoc_parallel
 open Epoc_pulse
-open Epoc_qoc
 module Metrics = Epoc_obs.Metrics
 
-(** The flattened view of one {!Engine.session} a pass sees: per-run
-    values (config, library handle, trace, per-run metrics, budget,
-    fault spec) next to views of the owning engine's shared state
-    (pool, persistent store, hardware memo, engine registry).  Concrete
-    because the driver builds per-candidate variants with functional
-    update ({!fork_ctx} plus a forked library). *)
-type ctx = {
+(** What a pass sees: the run's {!Engine.session} itself (its fields
+    are documented there).  Shared state — the hardware memo and the
+    engine registry — is reached through [ctx.engine]. *)
+type ctx = Engine.session = {
+  engine : Engine.t;
   config : Config.t;
+  name : string;
   request_id : string;
-      (** stable identity of the request this run serves (from
-          {!Engine.session_request_id}); every span, metric, retry and
-          degradation of the run is attributable to it *)
-  pool : Pool.t;  (** engine-owned *)
-  library : Library.t;  (** session handle; forked per candidate *)
+  library : Library.t;
+  pool : Pool.t;
   cache : Epoc_cache.Store.t option;
-      (** engine-owned persistent pulse store, when enabled *)
   synth : Epoc_cache.Synth_store.t option;
-      (** engine-owned persistent synthesis store, when enabled;
-          consulted before QSearch runs, recorded into at pipeline
-          end *)
   trace : Trace.t;
   metrics : Metrics.t;
-      (** per-run registry (lib/obs), deterministic values *)
-  process : Metrics.t;
-      (** the engine registry: wall-clock gauges and other
-          infrastructure values that must stay out of the per-run
-          registry *)
-  hardware : int -> Hardware.t;
-      (** width-keyed engine memo per (dt, t_coherence, k): the default
-          chain model, used for reference gate times *)
-  hardware_block : int list -> Hardware.t;
-      (** block-keyed model on the configured device's coupling
-          subgraph (global qubit indices, via
-          {!Engine.hardware_for_block}); identical to
-          [hardware (List.length qs)] when no device is configured *)
   budget : Epoc_budget.t;
-      (** run-level deadline from [Config.total_deadline] (unlimited
-          when unset), started when the session was opened; block
-          solves derive per-attempt children capped by it *)
   fault : Epoc_fault.spec option;
-      (** deterministic fault injection from [Config.fault] *)
+  explicit_library : Library.t option;
 }
 
-(** The ctx of a session: per-run values from the session, shared state
-    from its engine. *)
-val of_session : Engine.session -> ctx
-
-(** A ctx with private trace and metrics shards, for candidate fan-out:
-    the caller absorbs both after the parallel region, in candidate
-    order. *)
-val fork_ctx : ctx -> ctx * Trace.t * Metrics.t
+(** The ctx with private trace and metrics shards, for candidate
+    fan-out: the caller absorbs both after the parallel region, in
+    candidate order. *)
+val fork : ctx -> ctx
 
 module type PASS = sig
   val name : string

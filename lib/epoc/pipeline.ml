@@ -126,26 +126,18 @@ let compile_candidate (ctx : Pass.ctx) passes ir0 ((optimized : Circuit.t), zx_u
   let ir = Ir.with_candidate ir0 optimized ~zx_used_graph in
   Pass.run_list ctx passes ir
 
-(* Compile [circuit] through a flow, in [session]: graph stage,
-   candidate fan-out — each candidate against a fork of the library and
-   a private trace sink, merged back in candidate order — and
-   best-schedule selection.
+(* Compile [circuit] through a flow, in the session [ctx]: graph stage,
+   candidate fan-out — each candidate against private trace and metrics
+   shards (and, when there are several, a fork of the library), merged
+   back in candidate order — and best-schedule selection.
 
    This is the driver every entry point lands on.  Shared state (pool,
    persistent stores, hardware memo, engine registry) is read through
    the session; per-run state (config, library handle, trace, metrics,
    budget, fault spec) is the session's own. *)
-let compile_flow (session : Engine.session) flow (circuit : Circuit.t) =
+let compile_flow (ctx : Pass.ctx) flow (circuit : Circuit.t) =
   let t0 = Unix.gettimeofday () in
-  let engine = Engine.session_engine session in
-  let config = Engine.session_config session in
-  let name = Engine.session_name session in
-  let ctx = Pass.of_session session in
-  let library = ctx.Pass.library in
-  let cache = ctx.Pass.cache in
-  let synth_store = ctx.Pass.synth in
-  let trace = ctx.Pass.trace in
-  let metrics = ctx.Pass.metrics in
+  let { Pass.config; name; library; trace; metrics; _ } = ctx in
   let candidates =
     Trace.span_with trace "graph" (fun () -> flow.graph ctx circuit)
   in
@@ -153,44 +145,30 @@ let compile_flow (session : Engine.session) flow (circuit : Circuit.t) =
   let ir0 = Ir.of_circuit ~name circuit in
   let compiled =
     Trace.span_with trace "candidates" (fun () ->
-        let irs =
-          match candidates with
-          | [ candidate ] ->
-              (* single candidate: compile against the shared library *)
-              let cctx, ctrace, cmetrics = Pass.fork_ctx ctx in
-              let ir = compile_candidate cctx passes ir0 candidate in
-              Trace.absorb trace ~prefix:"cand0/" ctrace;
-              Metrics.absorb metrics cmetrics;
-              [ ir ]
-          | _ ->
-              (* fork the library, trace and metrics per candidate so
-                 candidate compilation is free of cross-candidate
-                 ordering; absorb all three in candidate order after *)
-              let forked =
-                List.map
-                  (fun cand ->
-                    (cand, Library.fork library, Trace.fork trace,
-                     Metrics.fork metrics))
-                  candidates
-              in
-              let irs =
-                Pool.map ctx.Pass.pool
-                  (fun (cand, flib, ctrace, cmetrics) ->
-                    let cctx =
-                      { ctx with Pass.library = flib; trace = ctrace;
-                        metrics = cmetrics }
-                    in
-                    compile_candidate cctx passes ir0 cand)
-                  forked
-              in
-              List.iteri
-                (fun i (_, flib, ctrace, cmetrics) ->
-                  Library.absorb library flib;
-                  Trace.absorb trace ~prefix:(Fmt.str "cand%d/" i) ctrace;
-                  Metrics.absorb metrics cmetrics)
-                forked;
-              irs
+        (* a lone candidate compiles against the session library on the
+           calling domain; several get a library fork each, so candidate
+           compilation is free of cross-candidate ordering *)
+        let several = List.length candidates > 1 in
+        let forked =
+          List.map
+            (fun cand ->
+              let c = Pass.fork ctx in
+              ( cand,
+                if several then { c with library = Library.fork library }
+                else c ))
+            candidates
         in
+        let irs =
+          (if several then Pool.map ctx.Pass.pool else List.map)
+            (fun (cand, c) -> compile_candidate c passes ir0 cand)
+            forked
+        in
+        List.iteri
+          (fun i (_, (c : Pass.ctx)) ->
+            if several then Library.absorb library c.library;
+            Trace.absorb trace ~prefix:(Fmt.str "cand%d/" i) c.trace;
+            Metrics.absorb metrics c.metrics)
+          forked;
         (irs, [ ("candidates", List.length irs) ]))
   in
   let schedule, stats =
@@ -235,7 +213,7 @@ let compile_flow (session : Engine.session) flow (circuit : Circuit.t) =
         Store.flush store;
         Metrics.set metrics "cache.entries"
           (float_of_int (Store.merged_count store)))
-      cache;
+      ctx.cache;
   (* persist the run's fresh syntheses: candidates only probed the store
      during compilation and carried their fresh results on the IR, so
      recording here — in candidate order, then block order — keeps the
@@ -251,8 +229,8 @@ let compile_flow (session : Engine.session) flow (circuit : Circuit.t) =
       Synth_store.flush store;
       Metrics.set metrics "synth.cache.entries"
         (float_of_int (Synth_store.merged_count store)))
-    synth_store;
-  let request_id = Engine.session_request_id session in
+    ctx.synth;
+  let request_id = ctx.request_id in
   (* flight-recorder entry: a bounded JSON summary of this request on the
      engine, plus the full Chrome trace when the compile was slow.  Both
      live on engine-owned state, outside the determinism contract. *)
@@ -286,7 +264,7 @@ let compile_flow (session : Engine.session) flow (circuit : Circuit.t) =
         ("stages_s", Trace.stage_walls_json trace);
       ]
   in
-  Epoc_obs.Flight.record (Engine.flight engine) ~id:request_id
+  Epoc_obs.Flight.record (Engine.flight ctx.engine) ~id:request_id
     ~wall_s:compile_time
     ~trace:(fun () -> Trace.to_chrome_json trace)
     flight_payload;
@@ -304,5 +282,5 @@ let compile_flow (session : Engine.session) flow (circuit : Circuit.t) =
     metrics;
   }
 
-(* Compile through the full EPOC flow, in [session]. *)
-let compile session (circuit : Circuit.t) = compile_flow session epoc_flow circuit
+(* Compile through the full EPOC flow, in [ctx]. *)
+let compile ctx (circuit : Circuit.t) = compile_flow ctx epoc_flow circuit

@@ -55,10 +55,15 @@ type flow = {
   passes : Config.t -> Pass.t list;
 }
 
+(** The EPOC flow: ZX graph optimization yielding up to two candidates,
+    then the config-derived pass list (reorder, partition, synthesis,
+    regroup, pulses, schedule). *)
+val epoc_flow : flow
+
 (** Compile a circuit through a flow, in a session: graph stage,
-    candidate fan-out — each candidate against a fork of the library and
-    private trace/metrics sinks, merged back in candidate order — and
-    best-schedule selection.  This is the driver every entry point lands
+    candidate fan-out — each candidate against private trace/metrics
+    shards (and, when there are several, a fork of the library), merged
+    back in candidate order — and best-schedule selection.  This is the driver every entry point lands
     on; {!Engine.session} is the single carrier of shared and per-run
     state (config, pool, stores, library, trace, metrics, budget).
 

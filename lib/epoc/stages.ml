@@ -129,10 +129,9 @@ type pulse_pending = {
    bit-identical to the pre-resilience pipeline; each request's attempt
    sequence is private to it, so batching never changes a block's
    result, only co-schedules the solves. *)
-let compute_pulse_batch ?(request_id = "-") ?metrics ?process_metrics ?fault
-    ?(budget = Epoc_budget.unlimited) ?pool ?workspace (config : Config.t)
-    (hw_block : Hardware.t) (reqs : pulse_req list) : Ir.job_result list =
-  let record f = Option.iter f metrics in
+let compute_pulse_batch (ctx : Pass.ctx) (hw_block : Hardware.t)
+    (reqs : pulse_req list) : Ir.job_result list =
+  let { Pass.config; metrics = m; request_id; budget; _ } = ctx in
   let max_retries = max 0 config.Config.max_retries in
   let limit = hw_block.Hardware.drive_limit in
   (* jittered restart: perturb the warm start within the drive limit so
@@ -148,12 +147,11 @@ let compute_pulse_batch ?(request_id = "-") ?metrics ?process_metrics ?fault
     let site = p.pp_req.pr_site and attempt = p.pp_attempt in
     let fb_duration, fb_fidelity = gate_fallback hw_block p.pp_req.pr_vug in
     let e = Lazy.force p.pp_estimate in
-    record (fun m ->
-        Metrics.incr m "pulse.fallback";
-        Metrics.observe m "degraded.latency_delta_ns"
-          (fb_duration -. e.Latency.est_duration);
-        Metrics.observe m "degraded.fidelity_delta"
-          (Float.max 0.0 (e.Latency.est_fidelity -. fb_fidelity)));
+    Metrics.incr m "pulse.fallback";
+    Metrics.observe m "degraded.latency_delta_ns"
+      (fb_duration -. e.Latency.est_duration);
+    Metrics.observe m "degraded.fidelity_delta"
+      (Float.max 0.0 (e.Latency.est_fidelity -. fb_fidelity));
     Log.warn (fun m ->
         m "[%s] %s degraded to gate-pulse playback after %d attempt(s): %s"
           request_id site (attempt + 1) (Epoc_error.to_string err));
@@ -178,17 +176,10 @@ let compute_pulse_batch ?(request_id = "-") ?metrics ?process_metrics ?fault
         })
       reqs
   in
-  record (fun m ->
-      Metrics.observe m "grape.batch_size"
-        (float_of_int (List.length states)));
-  let ws =
-    match workspace with
-    | Some w -> w
-    | None ->
-        (* wall-clock gauges (iters/s) go to the engine registry, never
-           the per-run one *)
-        Grape.workspace ?metrics:process_metrics ()
-  in
+  Metrics.observe m "grape.batch_size" (float_of_int (List.length states));
+  (* wall-clock solver totals go to the engine registry, never the
+     per-run one *)
+  let ws = Grape.workspace ~metrics:(Engine.metrics ctx.engine) () in
   let continue_ = ref (states <> []) in
   while !continue_ do
     let open_ =
@@ -215,20 +206,22 @@ let compute_pulse_batch ?(request_id = "-") ?metrics ?process_metrics ?fault
             in
             Latency.search_job ~options:config.Config.latency
               ~initial_guess:guess ?init:init_a ?rng ~budget:attempt_budget
-              ?fault ~site:p.pp_req.pr_site ~attempt hw_block p.pp_req.pr_u)
+              ?fault:ctx.fault ~site:p.pp_req.pr_site ~attempt hw_block
+              p.pp_req.pr_u)
           open_
       in
-      let results = Latency.find_min_duration_batch ?pool ~workspace:ws sjs in
+      let results =
+        Latency.find_min_duration_batch ~pool:ctx.pool ~workspace:ws sjs
+      in
       Array.iteri
         (fun i (p : pulse_pending) ->
           let site = p.pp_req.pr_site and attempt = p.pp_attempt in
           match results.(i) with
           | Ok s ->
-              record (fun m ->
-                  record_search m s;
-                  if s.Latency.result.Grape.warm_start then
-                    Metrics.incr m "grape.warm_start";
-                  if attempt > 0 then Metrics.incr m "pulse.retry_success");
+              record_search m s;
+              if s.Latency.result.Grape.warm_start then
+                Metrics.incr m "grape.warm_start";
+              if attempt > 0 then Metrics.incr m "pulse.retry_success";
               p.pp_done <-
                 Some
                   {
@@ -247,7 +240,7 @@ let compute_pulse_batch ?(request_id = "-") ?metrics ?process_metrics ?fault
               Log.warn (fun m ->
                   m "GRAPE duration search failed on a %d-qubit block"
                     hw_block.Hardware.n);
-              record (fun m -> Metrics.incr m "grape.search_failed");
+              Metrics.incr m "grape.search_failed";
               p.pp_done <-
                 Some
                   {
@@ -261,9 +254,9 @@ let compute_pulse_batch ?(request_id = "-") ?metrics ?process_metrics ?fault
           | Error
               ((Epoc_error.Solver_diverged _ | Epoc_error.Deadline_exceeded _)
                as e) ->
-              record (fun m -> Metrics.incr m ("grape." ^ Epoc_error.label e));
+              Metrics.incr m ("grape." ^ Epoc_error.label e);
               if attempt < max_retries then begin
-                record (fun m -> Metrics.incr m "pulse.retries");
+                Metrics.incr m "pulse.retries";
                 Log.info (fun m ->
                     m "%s attempt %d failed (%s), retrying" site attempt
                       (Epoc_error.label e));
@@ -272,7 +265,7 @@ let compute_pulse_batch ?(request_id = "-") ?metrics ?process_metrics ?fault
               else p.pp_done <- Some (fallback p e)
           | Error e ->
               (* non-retryable (numerical, synthesis): degrade directly *)
-              record (fun m -> Metrics.incr m ("grape." ^ Epoc_error.label e));
+              Metrics.incr m ("grape." ^ Epoc_error.label e);
               p.pp_done <- Some (fallback p e))
         open_
     end
@@ -280,19 +273,17 @@ let compute_pulse_batch ?(request_id = "-") ?metrics ?process_metrics ?fault
   List.map
     (fun p ->
       let result = Option.get p.pp_done in
-      record (fun m ->
-          Metrics.observe m "pulse.duration_ns" result.Ir.jr_duration);
+      Metrics.observe m "pulse.duration_ns" result.Ir.jr_duration;
       result)
     states
 
 (* Estimate-mode pulse for one regrouped unitary: the calibrated
    duration/fidelity estimate, never degraded. *)
-let estimate_pulse ?metrics (hw_block : Hardware.t) ~(vug_circuit : Circuit.t)
-    (u : Mat.t) : Ir.job_result =
-  let record f = Option.iter f metrics in
+let estimate_pulse (ctx : Pass.ctx) (hw_block : Hardware.t)
+    ~(vug_circuit : Circuit.t) (u : Mat.t) : Ir.job_result =
   let e = Latency.estimate ~unitary:u hw_block vug_circuit in
-  record (fun m -> Metrics.incr m "qoc.estimates");
-  record (fun m -> Metrics.observe m "pulse.duration_ns" e.Latency.est_duration);
+  Metrics.incr ctx.metrics "qoc.estimates";
+  Metrics.observe ctx.metrics "pulse.duration_ns" e.Latency.est_duration;
   {
     Ir.jr_duration = e.Latency.est_duration;
     jr_fidelity = e.Latency.est_fidelity;
@@ -430,21 +421,21 @@ let list_schedule (items : (Schedule.instruction * Circuit.op list) list) =
    its resolved values — and its degraded flag — directly.
 
    Returns (jobs, representatives) counts for the stage report. *)
-let resolve_pulses ?(request_id = "-") ?metrics ?process_metrics ?cache ?fault
-    ?(budget = Epoc_budget.unlimited) (config : Config.t) pool library
-    ~hardware_block jobs =
-  let record f = Option.iter f metrics in
+let resolve_pulses (ctx : Pass.ctx) jobs =
+  let { Pass.config; library; metrics = m; _ } = ctx in
   (* Device runs never touch the persistent store: its entries are priced
      on the default chain model, and a device block's pulses must not
      feed it either.  The session library is private under a device
      (Engine.library_for), and entries are tagged below, so every layer
      of reuse is scoped to the device's coupling contexts. *)
-  let cache = if config.Config.device = None then cache else None in
+  let cache = if config.Config.device = None then ctx.cache else None in
   (* The block hardware model for a job, and the library tag scoping its
      entries to that model's coupling context.  Legacy runs (no device)
      use the empty historical tag without building the model, keeping
      memo traffic identical. *)
-  let hw_of (j : Ir.pulse_job) = hardware_block j.Ir.jqubits in
+  let hw_of (j : Ir.pulse_job) =
+    Engine.hardware_for_block ctx.engine config j.Ir.jqubits
+  in
   let tag_of (j : Ir.pulse_job) =
     match config.Config.device with
     | None -> ""
@@ -458,7 +449,7 @@ let resolve_pulses ?(request_id = "-") ?metrics ?process_metrics ?cache ?fault
     | Some store -> (
         match Store.find store j.Ir.ju with
         | Some e ->
-            record (fun m -> Metrics.incr m "cache.hits");
+            Metrics.incr m "cache.hits";
             Library.note_cache_hit library;
             Library.add library j.Ir.ju ~duration:e.Store.duration
               ~fidelity:e.Store.fidelity ?pulse:e.Store.pulse ();
@@ -466,11 +457,11 @@ let resolve_pulses ?(request_id = "-") ?metrics ?process_metrics ?cache ?fault
             j.Ir.jpulse <- e.Store.pulse;
             true
         | None ->
-            record (fun m -> Metrics.incr m "cache.misses");
+            Metrics.incr m "cache.misses";
             (if config.Config.qoc_mode = Config.Grape then
                match Store.nearest store j.Ir.ju with
                | Some (e, _) ->
-                   record (fun m -> Metrics.incr m "cache.near_hits");
+                   Metrics.incr m "cache.near_hits";
                    j.Ir.jinit <-
                      Option.map
                        (fun (p : Grape.pulse) -> p.Grape.amplitudes)
@@ -573,13 +564,9 @@ let resolve_pulses ?(request_id = "-") ?metrics ?process_metrics ?cache ?fault
                 (match (j.Ir.jinit, !prev) with
                 | None, Some amps ->
                     j.Ir.jinit <- Some amps;
-                    record (fun m -> Metrics.incr m "pulse.chained")
+                    Metrics.incr m "pulse.chained"
                 | _ -> ());
-                let r =
-                  List.hd
-                    (compute_pulse_batch ~request_id ?metrics ?process_metrics
-                       ?fault ~budget ~pool config hw [ req_of j ])
-                in
+                let r = List.hd (compute_pulse_batch ctx hw [ req_of j ]) in
                 j.Ir.computed <- Some r;
                 match r.Ir.jr_pulse with
                 | Some p -> prev := Some p.Grape.amplitudes
@@ -587,23 +574,19 @@ let resolve_pulses ?(request_id = "-") ?metrics ?process_metrics ?cache ?fault
               chain
           end
           else
-            let results =
-              compute_pulse_batch ~request_id ?metrics ?process_metrics ?fault
-                ~budget ~pool config hw (List.map req_of group)
-            in
+            let results = compute_pulse_batch ctx hw (List.map req_of group) in
             List.iter2
               (fun (j : Ir.pulse_job) v -> j.Ir.computed <- Some v)
               group results)
         (List.rev !order)
   | Config.Estimate ->
       let computed =
-        Pool.map pool
+        Pool.map ctx.pool
           (fun (j : Ir.pulse_job) ->
             (* telemetry recording is commutative (counters + histogram
                observations), so sharing the registry across workers
                keeps the determinism contract *)
-            estimate_pulse ?metrics (hw_of j) ~vug_circuit:j.Ir.jlocal
-              j.Ir.ju)
+            estimate_pulse ctx (hw_of j) ~vug_circuit:j.Ir.jlocal j.Ir.ju)
           reps
       in
       List.iter2
@@ -906,13 +889,7 @@ let pulses =
           ir.Ir.groupings
       in
       let jobs = List.concat_map (List.filter_map snd) annotated in
-      let n_jobs, n_computed =
-        resolve_pulses ~request_id:ctx.Pass.request_id
-          ~metrics:ctx.Pass.metrics ~process_metrics:ctx.Pass.process
-          ?cache:ctx.Pass.cache ?fault:ctx.Pass.fault ~budget:ctx.Pass.budget
-          ctx.Pass.config ctx.Pass.pool ctx.Pass.library
-          ~hardware_block:ctx.Pass.hardware_block jobs
-      in
+      let n_jobs, n_computed = resolve_pulses ctx jobs in
       Metrics.incr ~by:n_jobs ctx.Pass.metrics "pulse.jobs";
       Metrics.incr ~by:n_computed ctx.Pass.metrics "pulse.computed";
       Log.info (fun m ->

@@ -20,8 +20,6 @@ open Epoc_linalg
 open Epoc_circuit
 open Epoc_qoc
 open Epoc_pulse
-open Epoc_parallel
-module Metrics = Epoc_obs.Metrics
 
 val log_src : Logs.Src.t
 
@@ -44,28 +42,16 @@ val gate_fallback : Hardware.t -> Circuit.t -> float * float
     index 0, ties toward the lowest index.  Pure and sequential. *)
 val similarity_chain : Mat.t array -> int array
 
-(** Resolve a batch of pulse jobs in place against [library], returning
-    [(jobs, fresh computations)].  Three phases: a sequential probe
-    (library, then — legacy runs only — the persistent store), a
+(** Resolve a batch of pulse jobs in place against [ctx.library],
+    returning [(jobs, fresh computations)].  Three phases: a sequential
+    probe (library, then — legacy runs only — the persistent store), a
     parallel/batched compute of the unresolved representatives grouped
     by (width, hardware context), and a sequential writeback.  Under a
-    device config ([config.device <> None]) the job's block model comes
-    from [hardware_block] on its global qubits, library keys are tagged
-    with the block's coupling context, and the persistent store is
-    never consulted. *)
-val resolve_pulses :
-  ?request_id:string ->
-  ?metrics:Metrics.t ->
-  ?process_metrics:Metrics.t ->
-  ?cache:Epoc_cache.Store.t ->
-  ?fault:Epoc_fault.spec ->
-  ?budget:Epoc_budget.t ->
-  Config.t ->
-  Pool.t ->
-  Library.t ->
-  hardware_block:(int list -> Hardware.t) ->
-  Ir.pulse_job list ->
-  int * int
+    device config ([ctx.config.device <> None]) the job's block model is
+    {!Engine.hardware_for_block} on its global qubits, library keys are
+    tagged with the block's coupling context, and the persistent store
+    is never consulted. *)
+val resolve_pulses : Pass.ctx -> Ir.pulse_job list -> int * int
 
 (** First minimum by schedule latency; ties keep the earliest candidate.
     @raise Invalid_argument on an empty list. *)

@@ -1033,31 +1033,36 @@ let optimize_batch ?pool ?workspace:ws_opt (jobs : batch_job array) =
             let c = ensure_ck ws ~dim:dim0 ~slots:st.j_slots ~nseg in
             run_checkpoint cpool c st)
           big);
-    (* throughput gauge: the workspace's engine-scoped registry only —
-       wall-clock is non-deterministic and must stay out of the per-run
-       registries the determinism tests compare *)
+    (* solver totals: the workspace's engine-scoped registry only —
+       wall clock is non-deterministic and must stay out of the per-run
+       registries the determinism tests compare.  The throughput is
+       derived from the totals ([iters_per_s]), so it covers every batch
+       recorded, not the last one. *)
     let total_iters = Array.fold_left (fun a st -> a + st.j_iters) 0 sts in
     let wall = Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) /. 1e9 in
-    (match ws.ws_metrics with
-    | Some m when wall > 0.0 && total_iters > 0 ->
-        Metrics.set m "grape.iters_per_s" (float_of_int total_iters /. wall)
-    | _ -> ());
+    Option.iter
+      (fun m ->
+        Metrics.incr ~by:total_iters m "grape.solve_iterations";
+        Metrics.observe m "grape.solve_seconds" wall)
+      ws.ws_metrics;
     Array.map finalize sts
   end
 
-let optimize ?options ?rng ?budget ?fault ?site ?attempt ?pool ?workspace
-    (hw : Hardware.t) ~(target : Mat.t) ~(slots : int) =
+(* Result-returning single solve: a batch of one. *)
+let optimize_r ?options ?rng ?budget ?fault ?site ?attempt ?pool ?workspace hw
+    ~target ~slots =
   let bj =
     batch_job ?options ?rng ?budget ?fault ?site ?attempt hw ~target ~slots
   in
-  match (optimize_batch ?pool ?workspace [| bj |]).(0) with
-  | Ok r -> r
-  | Error e -> Epoc_error.raise_ e
+  (optimize_batch ?pool ?workspace [| bj |]).(0)
 
-(* Result-returning entry point: the supported API.  [optimize] raising
-   [Epoc_error.Error] is kept for internal loop-abort plumbing. *)
-let optimize_r ?options ?rng ?budget ?fault ?site ?attempt ?pool ?workspace hw
-    ~target ~slots =
-  Epoc_error.wrap (fun () ->
-      optimize ?options ?rng ?budget ?fault ?site ?attempt ?pool ?workspace hw
-        ~target ~slots)
+(* Solver iterations per second over every batch recorded into [m]
+   (total iterations over total solve wall time); [None] before any
+   timed solve. *)
+let iters_per_s m =
+  match Metrics.hist_value m "grape.solve_seconds" with
+  | Some h when h.Metrics.sum > 0.0 ->
+      Some
+        (float_of_int (Metrics.counter_value m "grape.solve_iterations")
+        /. h.Metrics.sum)
+  | _ -> None

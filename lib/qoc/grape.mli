@@ -5,11 +5,10 @@
     fidelity [F = |tr(U_target^dag U)| / d], ascended with Adam under
     amplitude clipping.
 
-    {!optimize_r} is the supported entry point: it returns a [result]
-    and maps divergence (non-finite fidelity), expired
-    {!Epoc_budget.t} deadlines and injected {!Epoc_fault} faults to
-    typed {!Epoc_error.t} values.  {!optimize} is the legacy wrapper
-    that lets {!Epoc_error.Error} escape as an exception.
+    {!optimize_r} solves one problem: it returns a [result] and maps
+    divergence (non-finite fidelity), expired {!Epoc_budget.t}
+    deadlines and injected {!Epoc_fault} faults to typed
+    {!Epoc_error.t} values.
 
     {!optimize_batch} advances many independent equal-dimension solves
     in lockstep over one contiguous {!Epoc_linalg.Batch} per time
@@ -88,11 +87,11 @@ val fidelity_of : Mat.t -> Mat.t -> float
 (** {1 Batched solving} *)
 
 (** One solve request for {!optimize_batch}: the same inputs
-    {!optimize} takes, packaged as a value. *)
+    {!optimize_r} takes, packaged as a value. *)
 type batch_job
 
 (** [batch_job hw ~target ~slots] with the same optional arguments (and
-    defaults) as {!optimize}. *)
+    defaults) as {!optimize_r}. *)
 val batch_job :
   ?options:options ->
   ?rng:Random.State.t ->
@@ -110,11 +109,13 @@ val batch_job :
     whole duration search (many attempts at varying slot counts) makes
     the solver inner loop allocation-free.
 
-    [metrics] is the sink for wall-clock solver gauges
-    ([grape.iters_per_s]); the pipeline passes the owning engine's
-    registry.  Wall-clock values are non-deterministic, so they never
-    belong in a per-run registry, and without a sink they are simply
-    dropped. *)
+    [metrics] is the sink for the solver totals of every batch solved
+    with this workspace: the [grape.solve_iterations] counter and the
+    [grape.solve_seconds] histogram (one wall-clock observation per
+    batch), from which {!iters_per_s} derives the throughput.  The
+    pipeline passes the owning engine's registry.  Wall-clock values
+    are non-deterministic, so they never belong in a per-run registry,
+    and without a sink they are simply dropped. *)
 type workspace
 
 val workspace : ?metrics:Epoc_obs.Metrics.t -> unit -> workspace
@@ -168,23 +169,7 @@ val optimize_r :
   slots:int ->
   (result, Epoc_error.t) Result.t
 
-(** Legacy exception-raising wrapper around the same optimization: lets
-    {!Epoc_error.Error} escape instead of returning it.  Kept for
-    callers predating the typed error channel.
-
-    @raise Epoc_error.Error on divergence or an expired deadline.
-    @raise Invalid_argument on dimension mismatch or [slots < 1]. *)
-val optimize :
-  ?options:options ->
-  ?rng:Random.State.t ->
-  ?budget:Epoc_budget.t ->
-  ?fault:Epoc_fault.spec ->
-  ?site:string ->
-  ?attempt:int ->
-  ?pool:Epoc_parallel.Pool.t ->
-  ?workspace:workspace ->
-  Hardware.t ->
-  target:Mat.t ->
-  slots:int ->
-  result
-
+(** Solver iterations per second over every batch a workspace recorded
+    into this registry: total [grape.solve_iterations] over total
+    [grape.solve_seconds].  [None] before any timed batch. *)
+val iters_per_s : Epoc_obs.Metrics.t -> float option

@@ -5,8 +5,7 @@
     bisect the smallest GRAPE slot count reaching the fidelity target,
     returning typed {!Epoc_error.t} failures ([Duration_unreachable]
     when the bracket runs out, [Solver_diverged] / [Deadline_exceeded]
-    passed through from GRAPE).  {!find_min_duration} is the legacy
-    option-returning wrapper. *)
+    passed through from GRAPE). *)
 
 open Epoc_linalg
 open Epoc_circuit
@@ -92,25 +91,6 @@ val find_min_duration_r :
   Hardware.t ->
   Mat.t ->
   (search_result, Epoc_error.t) Result.t
-
-(** Legacy wrapper: [None] when no slot count up to
-    [options.max_slots] reaches the target.
-
-    @raise Epoc_error.Error on solver divergence or expired deadline. *)
-val find_min_duration :
-  ?options:options ->
-  ?initial_guess:int ->
-  ?init:float array array ->
-  ?rng:Random.State.t ->
-  ?budget:Epoc_budget.t ->
-  ?fault:Epoc_fault.spec ->
-  ?site:string ->
-  ?attempt:int ->
-  ?pool:Epoc_parallel.Pool.t ->
-  ?workspace:Grape.workspace ->
-  Hardware.t ->
-  Mat.t ->
-  search_result option
 
 (** {1 Analytic estimator} *)
 

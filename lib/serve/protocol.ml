@@ -54,8 +54,6 @@ type request =
   | Recent
   | TraceOf of string
 
-let flows = [ "epoc"; "gate"; "accqoc"; "paqoc" ]
-
 (* Parse one request line.  Unknown fields are ignored (forward
    compatibility); unknown values of known fields are errors.
    Malformed JSON yields "parse: <detail>" where the detail carries the
@@ -81,8 +79,7 @@ let parse_request (line : string) : (request, string) result =
               let flow =
                 match Option.bind (J.member "flow" json) J.to_str with
                 | None -> Ok "epoc"
-                | Some f when List.mem f flows -> Ok f
-                | Some f -> Error (Printf.sprintf "unknown flow %S" f)
+                | Some f -> Result.map (fun _ -> f) (Epoc.Baselines.find f)
               in
               let mode =
                 match Option.bind (J.member "mode" json) J.to_str with

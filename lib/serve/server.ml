@@ -104,28 +104,6 @@ let load_circuit spec =
     | exception Epoc_qasm.Qasm.Parse_error m -> Error ("parse error: " ^ m)
     | exception Invalid_argument m -> Error m
 
-(* The matching convention each flow compiles under: the AccQOC/PAQOC
-   baselines force phase-sensitive matching internally (see
-   lib/epoc/baselines.ml), so their private libraries must agree. *)
-let library_for flow (config : Config.t) =
-  let match_global_phase =
-    match flow with
-    | "accqoc" | "paqoc" -> false
-    | _ -> config.Config.match_global_phase
-  in
-  Library.create ~match_global_phase ()
-
-let run_named engine flow ~config ~request_id ~library ~name circuit =
-  let session =
-    Epoc.Engine.session ~config ~request_id ~library ~name engine
-  in
-  match flow with
-  | "epoc" -> Epoc.Pipeline.compile session circuit
-  | "gate" -> Epoc.Baselines.compile_gate_based session circuit
-  | "accqoc" -> Epoc.Baselines.compile_accqoc_like session circuit
-  | "paqoc" -> Epoc.Baselines.compile_paqoc_like session circuit
-  | other -> invalid_arg ("unknown flow " ^ other)
-
 (* [queue_wait_s], [worker] and [drained] ride on every response —
    success or error — so a job that times out while the daemon drains
    still reports where it waited and who ran it. *)
@@ -160,17 +138,30 @@ let compile st (p : pending) ~request_id ~queue_wait_s ~worker ~drained =
       Protocol.error_response ~jid:p.jid ~request_id ~queue_wait_s ~worker
         ~drained msg
   | Ok config -> (
-  match load_circuit job.Protocol.circuit with
-  | Error msg ->
+  match
+    ( Epoc.Baselines.find job.Protocol.flow,
+      load_circuit job.Protocol.circuit )
+  with
+  | Error msg, _ | _, Error msg ->
       Protocol.error_response ~jid:p.jid ~request_id ~queue_wait_s ~worker
         ~drained msg
-  | Ok circuit -> (
-      let library = library_for job.Protocol.flow config in
-      let name = Printf.sprintf "job%d" p.jid in
-      match
-        run_named st.engine job.Protocol.flow ~config ~request_id ~library
-          ~name circuit
-      with
+  | Ok flow, Ok circuit -> (
+      (* a private library under the matching convention the flow
+         compiles under (the AccQOC/PAQOC config transforms force
+         phase-sensitive matching) *)
+      let library =
+        Library.create
+          ~match_global_phase:
+            (Epoc.Baselines.config_for flow config circuit)
+              .Config.match_global_phase
+          ()
+      in
+      let session =
+        Epoc.Engine.session ~config ~request_id ~library
+          ~name:(Printf.sprintf "job%d" p.jid)
+          st.engine
+      in
+      match Epoc.Baselines.compile flow session circuit with
       | exception e ->
           Protocol.error_response ~jid:p.jid ~request_id ~queue_wait_s ~worker
             ~drained (Printexc.to_string e)

@@ -184,10 +184,15 @@ let test_nearest () =
 
 let test_grape_warm_start () =
   let hw = Hardware.make 1 in
+  let solve ?options hw ~target ~slots =
+    match Grape.optimize_r ?options hw ~target ~slots with
+    | Ok r -> r
+    | Error e -> Alcotest.failf "solve failed: %s" (Epoc_error.to_string e)
+  in
   (* converge a pulse for X, then reuse its amplitudes as the starting
      point for the nearby RX(2.8) under a small iteration budget: the
      warm start must do at least as well as the random cold start *)
-  let solved_x = Grape.optimize hw ~target:(Gate.matrix Gate.X) ~slots:24 in
+  let solved_x = solve hw ~target:(Gate.matrix Gate.X) ~slots:24 in
   Alcotest.(check bool) "x converged" true (solved_x.Grape.fidelity > 0.99);
   Alcotest.(check bool) "cold start reported" false solved_x.Grape.warm_start;
   let target = Gate.matrix (Gate.RX 2.8) in
@@ -196,9 +201,9 @@ let test_grape_warm_start () =
   let budget =
     { Grape.default_options with Grape.iterations = 4; patience = 4 }
   in
-  let cold = Grape.optimize ~options:budget hw ~target ~slots:24 in
+  let cold = solve ~options:budget hw ~target ~slots:24 in
   let warm =
-    Grape.optimize
+    solve
       ~options:
         {
           budget with
@@ -214,7 +219,7 @@ let test_grape_warm_start () =
   (* a control-count mismatch falls back to the cold start *)
   let bad_init = [| [| 0.1; 0.2 |] |] in
   let fallback =
-    Grape.optimize
+    solve
       ~options:{ budget with Grape.init = Some bad_init }
       hw ~target ~slots:24
   in

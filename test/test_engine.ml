@@ -54,15 +54,61 @@ let test_session_library_convention () =
   let e = Engine.create () in
   let s_default = Engine.session ~name:"a" e in
   Alcotest.(check bool) "matching convention shares" true
-    (Engine.session_library s_default == Engine.library e);
+    (s_default.Engine.library == Engine.library e);
   let phase_sensitive =
     { Config.default with Config.match_global_phase = false }
   in
   let s_sensitive = Engine.session ~config:phase_sensitive ~name:"b" e in
   Alcotest.(check bool) "mismatched convention isolates" false
-    (Engine.session_library s_sensitive == Engine.library e);
+    (s_sensitive.Engine.library == Engine.library e);
   Alcotest.(check bool) "private library follows the session config" false
-    (Library.match_global_phase (Engine.session_library s_sensitive))
+    (Library.match_global_phase s_sensitive.Engine.library)
+
+(* [with_config] keeps the session's identity, sinks and any library the
+   caller passed; the library, budget and fault spec follow the new
+   config *)
+let test_with_config () =
+  let e = Engine.create () in
+  let s = Engine.session ~request_id:"job7" ~name:"w" e in
+  Alcotest.(check bool) "opened on the engine library" true
+    (s.Engine.library == Engine.library e);
+  Alcotest.(check bool) "no deadline, unlimited budget" true
+    (Epoc_budget.is_unlimited s.Engine.budget);
+  let fault = Epoc_fault.parse_exn "grape_nan:0.5" in
+  let sensitive =
+    {
+      Config.default with
+      Config.match_global_phase = false;
+      total_deadline = Some 60.0;
+      fault = Some fault;
+    }
+  in
+  let s' = Engine.with_config sensitive s in
+  Alcotest.(check bool) "config replaced" true (s'.Engine.config == sensitive);
+  Alcotest.(check bool) "phase-sensitive config leaves the engine library"
+    false
+    (s'.Engine.library == Engine.library e);
+  Alcotest.(check bool) "private library follows the new config" false
+    (Library.match_global_phase s'.Engine.library);
+  Alcotest.(check bool) "budget derives from the new deadline" true
+    ((not (Epoc_budget.is_unlimited s'.Engine.budget))
+    && Epoc_budget.remaining_s s'.Engine.budget <= 60.0);
+  Alcotest.(check (option string))
+    "fault derives from the new config"
+    (Some (Epoc_fault.to_string fault))
+    (Option.map Epoc_fault.to_string s'.Engine.fault);
+  Alcotest.(check string) "name kept" "w" s'.Engine.name;
+  Alcotest.(check string) "request id kept" "job7" s'.Engine.request_id;
+  Alcotest.(check bool) "sinks kept" true
+    (s'.Engine.trace == s.Engine.trace && s'.Engine.metrics == s.Engine.metrics);
+  Alcotest.(check bool) "back on the default config, back on the engine library"
+    true
+    ((Engine.with_config Config.default s').Engine.library == Engine.library e);
+  (* an explicitly passed library survives any config *)
+  let own = Library.create ~match_global_phase:true () in
+  let mine = Engine.session ~library:own ~name:"x" e in
+  Alcotest.(check bool) "explicit library kept" true
+    ((Engine.with_config sensitive mine).Engine.library == own)
 
 (* request ids are engine-scoped, unique and threaded session -> ctx ->
    result; an explicit id overrides the engine's counter *)
@@ -70,19 +116,17 @@ let test_request_ids () =
   let e = Engine.create () in
   let s1 = Engine.session ~name:"a" e in
   let s2 = Engine.session ~name:"b" e in
-  Alcotest.(check string) "first id" "r1" (Engine.session_request_id s1);
-  Alcotest.(check string) "second id" "r2" (Engine.session_request_id s2);
-  Alcotest.(check string) "ctx sees the session id" "r1"
-    (Pass.of_session s1).Pass.request_id;
+  Alcotest.(check string) "first id" "r1" s1.Engine.request_id;
+  Alcotest.(check string) "second id" "r2" s2.Engine.request_id;
+  Alcotest.(check string) "ctx sees the session id" "r1" s1.Pass.request_id;
   let s3 = Engine.session ~request_id:"job42" ~name:"c" e in
-  Alcotest.(check string) "explicit id wins" "job42"
-    (Engine.session_request_id s3);
+  Alcotest.(check string) "explicit id wins" "job42" s3.Engine.request_id;
   Alcotest.(check bool) "explicit id does not burn the counter" true
-    (Engine.session_request_id (Engine.session ~name:"d" e) = "r3");
+    ((Engine.session ~name:"d" e).Engine.request_id = "r3");
   (* engines do not share counters *)
   let e2 = Engine.create () in
   Alcotest.(check string) "fresh engine restarts" "r1"
-    (Engine.session_request_id (Engine.session ~name:"x" e2));
+    (Engine.session ~name:"x" e2).Engine.request_id;
   (* concurrent draws stay unique *)
   let e3 = Engine.create () in
   let draws =
@@ -159,6 +203,8 @@ let () =
             test_hardware_memo;
           Alcotest.test_case "session library convention" `Quick
             test_session_library_convention;
+          Alcotest.test_case "with_config re-derives from the config" `Quick
+            test_with_config;
         ] );
       ( "request ids",
         [

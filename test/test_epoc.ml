@@ -225,7 +225,11 @@ let test_stage_chain_equivalence () =
 
 let test_pulse_csv_export () =
   let hw = Epoc_qoc.Hardware.make 1 in
-  let r = Epoc_qoc.Grape.optimize hw ~target:(Gate.matrix Gate.X) ~slots:8 in
+  let r =
+    match Epoc_qoc.Grape.optimize_r hw ~target:(Gate.matrix Gate.X) ~slots:8 with
+    | Ok r -> r
+    | Error e -> Alcotest.failf "solve failed: %s" (Epoc_error.to_string e)
+  in
   let csv = Epoc_qoc.Grape.pulse_to_csv r.Epoc_qoc.Grape.pulse in
   let lines = String.split_on_char '\n' (String.trim csv) in
   Alcotest.(check int) "header + 8 slots" 9 (List.length lines);

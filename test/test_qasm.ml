@@ -166,13 +166,13 @@ let test_non_finite_parameters () =
 let cli =
   Filename.concat (Filename.dirname Sys.executable_name) "../bin/epoc_cli.exe"
 
-let run_cli args =
+let run_cli ?(stdout = ">/dev/null") args =
   let err = Filename.temp_file "epoc_cli" ".err" in
   let code =
     Sys.command
-      (Printf.sprintf "%s %s >/dev/null 2>%s" cli
+      (Printf.sprintf "%s %s %s 2>%s" cli
          (String.concat " " (List.map Filename.quote args))
-         (Filename.quote err))
+         stdout (Filename.quote err))
   in
   let ic = open_in_bin err in
   let msg = really_input_string ic (in_channel_length ic) in
@@ -202,6 +202,20 @@ let test_cli_input_errors () =
       [ "compile"; "bench:bell"; "--export-ir" ];
       [ "compile"; "bench:bell"; "--trace-chrome" ];
       [ "report"; "bench:bell"; "--trace-chrome" ];
+    ];
+  (* so is a closed stdout: a message and exit 1, not an uncaught
+     Sys_error at the exit-time flush *)
+  List.iter
+    (fun args ->
+      let label = String.concat " " args in
+      let code, msg = run_cli ~stdout:">&-" args in
+      Alcotest.(check int) (label ^ ": closed stdout exits 1") 1 code;
+      Alcotest.(check bool) (label ^ ": message names stdout: " ^ msg) true
+        (contains ~sub:"error: cannot write to stdout" msg))
+    [
+      [ "compile"; "bench:bell" ];
+      [ "compile"; "bench:bell"; "--trace-json" ];
+      [ "report"; "bench:bell"; "--json" ];
     ];
   let bad = Filename.temp_file "epoc_nonfinite" ".qasm" in
   let oc = open_out_bin bad in

@@ -40,9 +40,15 @@ let test_reference_times () =
 
 (* --- grape ---------------------------------------------------------------- *)
 
+(* A solve the test expects to return a result. *)
+let solve ?options ?rng hw ~target ~slots =
+  match Grape.optimize_r ?options ?rng hw ~target ~slots with
+  | Ok r -> r
+  | Error e -> Alcotest.failf "solve failed: %s" (Epoc_error.to_string e)
+
 let test_grape_identity_1q () =
   let hw = Hardware.make 1 in
-  let r = Grape.optimize hw ~target:(Mat.identity 2) ~slots:4 in
+  let r = solve hw ~target:(Mat.identity 2) ~slots:4 in
   Alcotest.(check bool)
     (Printf.sprintf "identity fidelity %.5f" r.Grape.fidelity)
     true
@@ -50,7 +56,7 @@ let test_grape_identity_1q () =
 
 let test_grape_x_gate () =
   let hw = Hardware.make 1 in
-  let r = Grape.optimize hw ~target:(Gate.matrix Gate.X) ~slots:24 in
+  let r = solve hw ~target:(Gate.matrix Gate.X) ~slots:24 in
   Alcotest.(check bool)
     (Printf.sprintf "x fidelity %.5f" r.Grape.fidelity)
     true
@@ -61,7 +67,7 @@ let test_grape_x_gate () =
 
 let test_grape_hadamard () =
   let hw = Hardware.make 1 in
-  let r = Grape.optimize hw ~target:(Gate.matrix Gate.H) ~slots:24 in
+  let r = solve hw ~target:(Gate.matrix Gate.H) ~slots:24 in
   Alcotest.(check bool)
     (Printf.sprintf "h fidelity %.5f" r.Grape.fidelity)
     true
@@ -69,7 +75,7 @@ let test_grape_hadamard () =
 
 let test_grape_cnot () =
   let hw = Hardware.make 2 in
-  let r = Grape.optimize hw ~target:(Gate.matrix Gate.CX) ~slots:160 in
+  let r = solve hw ~target:(Gate.matrix Gate.CX) ~slots:160 in
   Alcotest.(check bool)
     (Printf.sprintf "cx fidelity %.5f" r.Grape.fidelity)
     true
@@ -77,7 +83,7 @@ let test_grape_cnot () =
 
 let test_grape_respects_amplitude_limit () =
   let hw = Hardware.make 1 in
-  let r = Grape.optimize hw ~target:(Gate.matrix Gate.Y) ~slots:24 in
+  let r = solve hw ~target:(Gate.matrix Gate.Y) ~slots:24 in
   Array.iter
     (Array.iter (fun a ->
          Alcotest.(check bool) "amplitude clipped" true
@@ -86,14 +92,14 @@ let test_grape_respects_amplitude_limit () =
 
 let test_grape_propagate_unitary () =
   let hw = Hardware.make 2 in
-  let r = Grape.optimize hw ~target:(Gate.matrix Gate.CZ) ~slots:120 in
+  let r = solve hw ~target:(Gate.matrix Gate.CZ) ~slots:120 in
   Alcotest.(check bool) "propagator unitary" true
     (Mat.is_unitary ~eps:1e-7 r.Grape.achieved)
 
 let test_grape_too_short_fails () =
   (* 2 ns cannot implement an X pi-rotation at the drive limit *)
   let hw = Hardware.make 1 in
-  let r = Grape.optimize hw ~target:(Gate.matrix Gate.X) ~slots:4 in
+  let r = solve hw ~target:(Gate.matrix Gate.X) ~slots:4 in
   Alcotest.(check bool)
     (Printf.sprintf "infeasible duration fidelity %.4f" r.Grape.fidelity)
     true
@@ -143,7 +149,7 @@ let test_grape_batch_matches_solo () =
       opts with
       Grape.init =
         Some
-          (Grape.optimize ~options:opts
+          (solve ~options:opts
              ~rng:(Random.State.make [| 11 |])
              hw ~target:(Gate.matrix Gate.H) ~slots:20)
             .Grape.pulse.Grape.amplitudes;
@@ -160,7 +166,7 @@ let test_grape_batch_matches_solo () =
   let solo =
     Array.mapi
       (fun i (target, slots, options) ->
-        Grape.optimize ~options ~rng:(rng i) hw ~target ~slots)
+        solve ~options ~rng:(rng i) hw ~target ~slots)
       specs
   in
   let jobs =
@@ -203,13 +209,74 @@ let test_grape_checkpoint_pool_invariance () =
   check_result_exact "domains=1 vs no pool" solo one;
   check_result_exact "domains=4 vs no pool" solo four
 
+(* The throughput a workspace reports is aggregated over its batches:
+   total iterations over total solve seconds.  Two batches of different
+   shapes run at different rates; the reported rate must be their
+   iteration-weighted mean, strictly between the two, never the last
+   batch's rate alone. *)
+let test_grape_throughput_totals () =
+  let m = Epoc_obs.Metrics.create () in
+  let ws = Grape.workspace ~metrics:m () in
+  (* an unreachable target runs every job for exactly [iterations] *)
+  let options iterations =
+    {
+      Grape.default_options with
+      Grape.iterations;
+      fidelity_target = 2.0;
+      patience = max_int;
+    }
+  in
+  let batch ~qubits ~slots ~iterations n =
+    let hw = Hardware.make qubits in
+    let target = Mat.identity (1 lsl qubits) in
+    Grape.optimize_batch ~workspace:ws
+      (Array.init n (fun i ->
+           Grape.batch_job ~options:(options iterations)
+             ~rng:(Random.State.make [| i |])
+             hw ~target ~slots))
+    |> Array.fold_left
+         (fun acc r -> acc + (batch_ok "throughput batch" r).Grape.iterations)
+         0
+  in
+  let seconds () =
+    match Epoc_obs.Metrics.hist_value m "grape.solve_seconds" with
+    | Some h -> h.Epoc_obs.Metrics.sum
+    | None -> 0.0
+  in
+  let rate () = Option.get (Grape.iters_per_s m) in
+  Alcotest.(check (option (float 0.0))) "no solve, no rate" None
+    (Grape.iters_per_s m);
+  let it1 = batch ~qubits:1 ~slots:24 ~iterations:200 4 in
+  let w1 = seconds () in
+  let rate1 = rate () in
+  let it2 = batch ~qubits:2 ~slots:64 ~iterations:40 2 in
+  let w2 = seconds () -. w1 in
+  let last = float_of_int it2 /. w2 in
+  Alcotest.(check int) "iterations total" (it1 + it2)
+    (Epoc_obs.Metrics.counter_value m "grape.solve_iterations");
+  Alcotest.(check int) "one wall observation per batch" 2
+    (Option.get (Epoc_obs.Metrics.hist_value m "grape.solve_seconds"))
+      .Epoc_obs.Metrics.count;
+  Alcotest.(check (float 0.0)) "total iterations over total seconds"
+    (float_of_int (it1 + it2) /. seconds ())
+    (rate ());
+  Alcotest.(check bool)
+    (Printf.sprintf "batches ran at different rates (%.0f vs %.0f)" rate1 last)
+    true (rate1 <> last);
+  Alcotest.(check bool)
+    (Printf.sprintf "aggregate %.0f lies strictly between %.0f and %.0f"
+       (rate ()) rate1 last)
+    true
+    (rate () > Float.min rate1 last && rate () < Float.max rate1 last)
+
 (* --- latency --------------------------------------------------------------- *)
 
 let test_latency_x_speed_limit () =
   let hw = Hardware.make 1 in
-  match Latency.find_min_duration hw (Gate.matrix Gate.X) with
-  | None -> Alcotest.fail "x duration search failed"
-  | Some s ->
+  match Latency.find_min_duration_r hw (Gate.matrix Gate.X) with
+  | Error e ->
+      Alcotest.failf "x duration search failed: %s" (Epoc_error.to_string e)
+  | Ok s ->
       (* quantum speed limit: pi / drive_limit = 10 ns *)
       Alcotest.(check bool)
         (Printf.sprintf "min duration %.1f ns" s.Latency.duration)
@@ -219,9 +286,10 @@ let test_latency_x_speed_limit () =
 let test_latency_rz_is_fast () =
   (* small rotations need much shorter pulses than pi rotations *)
   let hw = Hardware.make 1 in
-  match Latency.find_min_duration hw (Gate.matrix (Gate.RX 0.3)) with
-  | None -> Alcotest.fail "rx duration search failed"
-  | Some s ->
+  match Latency.find_min_duration_r hw (Gate.matrix (Gate.RX 0.3)) with
+  | Error e ->
+      Alcotest.failf "rx duration search failed: %s" (Epoc_error.to_string e)
+  | Ok s ->
       Alcotest.(check bool)
         (Printf.sprintf "rx(0.3) %.1f ns" s.Latency.duration)
         true (s.Latency.duration <= 4.0)
@@ -413,6 +481,8 @@ let () =
             test_grape_batch_matches_solo;
           Alcotest.test_case "checkpoint pool invariance" `Quick
             test_grape_checkpoint_pool_invariance;
+          Alcotest.test_case "throughput aggregates batches" `Quick
+            test_grape_throughput_totals;
         ] );
       ( "latency",
         [

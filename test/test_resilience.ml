@@ -129,11 +129,6 @@ let test_error_channel () =
       Alcotest.(check string) "diverged at the faulted site" "block0" site
   | Error e -> Alcotest.failf "unexpected error %s" (Epoc_error.to_string e)
   | Ok _ -> Alcotest.fail "expected Solver_diverged");
-  (* the legacy exception API still raises *)
-  Alcotest.(check bool) "optimize raises Epoc_error.Error" true
-    (match Epoc_qoc.Grape.optimize ~fault ~site:"block0" hw ~target ~slots:8 with
-    | exception Epoc_error.Error (Epoc_error.Solver_diverged _) -> true
-    | _ -> false);
   (* labels are stable (consumed by metrics keys and the CLI) *)
   Alcotest.(check string) "label" "solver_diverged"
     (Epoc_error.label (Epoc_error.Solver_diverged { site = "x"; detail = "d" }));
